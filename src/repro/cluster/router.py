@@ -10,7 +10,9 @@ one node. Per route:
   (consistent hashing via the supervisor's ring), with per-request
   timeouts and bounded-backoff retries. A failed forward is reported to
   the supervisor (:meth:`ShardSupervisor.report_failure`), accelerating
-  failure detection beyond the heartbeat cadence.
+  failure detection beyond the heartbeat cadence. Forwards reuse
+  persistent connections: one pooled client per shard, shared by every
+  handler thread.
 * While the owning shard is down (restarting from its WAL, draining, or
   hung), the router **degrades instead of erroring**:
 
@@ -37,69 +39,28 @@ one node. Per route:
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
 from repro.exceptions import ReproError, ServingError, ServingUnavailableError
 from repro.logging_utils import get_logger
 from repro.models.base import rank_top_k
 from repro.models.recency import RecencyRecommender
-from repro.serving.client import ServingClient
+from repro.serving.server import JSONRequestHandler, KeepAliveHTTPServer
 from repro.serving.state import SessionStore
 from repro.serving.metrics import merge_snapshots
-from repro.cluster.supervisor import ShardSupervisor
+from repro.cluster.supervisor import ShardClients, ShardSupervisor
 
 logger = get_logger("cluster.router")
 
-#: Reject request bodies beyond this size (mirrors the shard servers).
-MAX_BODY_BYTES = 1 << 20
 
-
-class _RouterHandler(BaseHTTPRequestHandler):
+class _RouterHandler(JSONRequestHandler):
     """Translate HTTP requests into shard forwards / local fallbacks."""
 
     #: Set by ClusterRouter before the server starts.
     router: "ClusterRouter"
-
-    def log_message(self, format: str, *args: object) -> None:  # noqa: A002
-        logger.debug("%s %s", self.address_string(), format % args)
-
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            logger.debug("client disconnected before reply on %s", self.path)
-
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        if length > MAX_BODY_BYTES:
-            raise ServingError(f"request body too large ({length} bytes)")
-        raw = self.rfile.read(length) if length else b""
-        try:
-            payload = json.loads(raw or b"{}")
-        except json.JSONDecodeError as exc:
-            raise ServingError(f"request body is not JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ServingError("request body must be a JSON object")
-        return payload
-
-    @staticmethod
-    def _field(payload: dict, name: str) -> int:
-        if name not in payload:
-            raise ServingError(f"missing required field {name!r}")
-        try:
-            return int(payload[name])
-        except (TypeError, ValueError) as exc:
-            raise ServingError(f"field {name!r} must be an integer") from exc
 
     def _answer(self, thunk) -> None:
         try:
@@ -122,20 +83,9 @@ class _RouterHandler(BaseHTTPRequestHandler):
         elif parsed.path == "/ring":
             self._answer(lambda: (200, self.router.ring_payload()))
         elif parsed.path == "/state":
-            query = urllib.parse.parse_qs(parsed.query)
-
-            def state() -> Tuple[int, dict]:
-                if "user" not in query:
-                    raise ServingError("missing required query param 'user'")
-                try:
-                    user = int(query["user"][0])
-                except ValueError as exc:
-                    raise ServingError(
-                        "query param 'user' must be an integer"
-                    ) from exc
-                return 200, self.router.forward_state(user)
-
-            self._answer(state)
+            self._answer(lambda: (200, self.router.forward_state(
+                self._query_field(parsed.query, "user")
+            )))
         else:
             self._send_json(404, {"error": f"unknown route {self.path}"})
 
@@ -182,8 +132,11 @@ class ClusterRouter:
         self.event_retry_deadline_s = event_retry_deadline_s
         # Shard clients forward verbatim: the *end client* owns the
         # idempotency seqs, the router must not inject its own.
-        self._clients: Dict[str, ServingClient] = {}
-        self._clients_lock = threading.Lock()
+        self._clients = ShardClients(
+            timeout=forward_timeout_s,
+            retries=forward_retries,
+            track_seq=False,
+        )
         # Base-history-only sessions powering the degraded Recency
         # fallback; no event_source on purpose — while a shard is down
         # its live events are unreadable, and serving *base* Recency is
@@ -204,8 +157,7 @@ class ClusterRouter:
         }
         self._counter_lock = threading.Lock()
         handler = type("BoundRouterHandler", (_RouterHandler,), {"router": self})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = KeepAliveHTTPServer((host, port), handler)
         self._thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
@@ -244,11 +196,12 @@ class ClusterRouter:
             self.close()
 
     def close(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        """Stop the listener, cut live connections, drop shard pools."""
+        self._httpd.close()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
+        self._clients.close()
 
     def __enter__(self) -> "ClusterRouter":
         return self
@@ -259,19 +212,6 @@ class ClusterRouter:
     def _count(self, name: str, delta: int = 1) -> None:
         with self._counter_lock:
             self.counters[name] += delta
-
-    def _client_for(self, name: str, url: str) -> ServingClient:
-        with self._clients_lock:
-            client = self._clients.get(name)
-            if client is None or client.base_url != url.rstrip("/"):
-                client = ServingClient(
-                    url,
-                    timeout=self.forward_timeout_s,
-                    retries=self.forward_retries,
-                    track_seq=False,
-                )
-                self._clients[name] = client
-        return client
 
     # ------------------------------------------------------------------
     # Forwarding
@@ -297,7 +237,7 @@ class ClusterRouter:
         while True:
             owner, url = self.supervisor.endpoint_for(user)
             if url is not None:
-                client = self._client_for(owner, url)
+                client = self._clients.get(owner, url)
                 try:
                     position = client.ingest(
                         user, item, seq=seq,
@@ -335,7 +275,7 @@ class ClusterRouter:
         self._count("router_recommends")
         owner, url = self.supervisor.endpoint_for(user)
         if url is not None:
-            client = self._client_for(owner, url)
+            client = self._clients.get(owner, url)
             try:
                 reply = client.recommend(
                     user, k=k, deadline_ms=deadline_ms,
@@ -393,7 +333,7 @@ class ClusterRouter:
         while True:
             owner, url = self.supervisor.endpoint_for(user)
             if url is not None:
-                client = self._client_for(owner, url)
+                client = self._clients.get(owner, url)
                 try:
                     reply = client.state(user, timeout=self.forward_timeout_s)
                     reply["shard"] = owner
@@ -450,7 +390,7 @@ class ClusterRouter:
             try:
                 url = self.supervisor.url_of(name)
                 snapshots.append(
-                    self._client_for(name, url).metrics(
+                    self._clients.get(name, url).metrics(
                         timeout=self.forward_timeout_s
                     )
                 )

@@ -72,6 +72,40 @@ STOPPED = "STOPPED"
 _MONITORED = (RUNNING, DEGRADED)
 
 
+class ShardClients:
+    """One pooled :class:`ServingClient` per shard, thread-safe.
+
+    A shard that restarts comes back on a new port; its client is then
+    replaced and the old one's connections closed. ``options`` are the
+    :class:`ServingClient` keyword arguments every client gets.
+    """
+
+    def __init__(self, **options: object) -> None:
+        self._options = options
+        self._clients: Dict[str, ServingClient] = {}
+        self._lock = threading.Lock()
+
+    def get(self, name: str, url: str) -> ServingClient:
+        stale = None
+        with self._lock:
+            client = self._clients.get(name)
+            if client is None or client.base_url != url.rstrip("/"):
+                stale = client
+                client = self._clients[name] = ServingClient(
+                    url, **self._options  # type: ignore[arg-type]
+                )
+        if stale is not None:
+            stale.close()
+        return client
+
+    def close(self) -> None:
+        with self._lock:
+            clients = list(self._clients.values())
+            self._clients.clear()
+        for client in clients:
+            client.close()
+
+
 class WorkerHandle:
     """Mutable supervisor-side view of one worker process."""
 
@@ -191,6 +225,8 @@ class ShardSupervisor:
             for name in names
         }
         self._lock = threading.RLock()
+        # Readiness probes and heartbeats reuse one client per shard.
+        self._probes = ShardClients(timeout=heartbeat_timeout_s, retries=0)
         self._wake = threading.Event()
         self._closed = False
         self._monitor: Optional[threading.Thread] = None
@@ -281,6 +317,7 @@ class ShardSupervisor:
             self._stop_worker(handle, graceful=True)
             with self._lock:
                 handle.state = STOPPED
+        self._probes.close()
 
     def __enter__(self) -> "ShardSupervisor":
         return self
@@ -325,10 +362,7 @@ class ShardSupervisor:
             endpoint = read_endpoint(handle.spec.endpoint_path)
             if endpoint is not None:
                 url = str(endpoint["url"])
-                client = ServingClient(
-                    url, timeout=self.heartbeat_timeout_s, retries=0
-                )
-                if client.health():
+                if self._probes.get(handle.name, url).health():
                     with self._lock:
                         handle.url = url
                         handle.state = RUNNING
@@ -400,10 +434,8 @@ class ShardSupervisor:
             )
             self._restart(handle)
             return
-        client = ServingClient(
-            handle.url or "", timeout=self.heartbeat_timeout_s, retries=0
-        )
-        if handle.url is not None and client.health():
+        url = handle.url
+        if url is not None and self._probes.get(handle.name, url).health():
             with self._lock:
                 if handle.state == DEGRADED:
                     logger.info("%s: heartbeat recovered", handle.name)
@@ -504,10 +536,7 @@ class ShardSupervisor:
             endpoint = read_endpoint(handle.spec.endpoint_path)
             if endpoint is not None:
                 url = str(endpoint["url"])
-                client = ServingClient(
-                    url, timeout=self.heartbeat_timeout_s, retries=0
-                )
-                if client.health():
+                if self._probes.get(handle.name, url).health():
                     with self._lock:
                         handle.url = url
                     return

@@ -1,8 +1,16 @@
 """Stdlib HTTP client for the serving endpoints.
 
-A thin :mod:`urllib.request` wrapper speaking the same routes as
+A thin :mod:`http.client` wrapper speaking the same routes as
 :mod:`repro.serving.server` (and the cluster router, which mounts the
-identical surface). Failures are typed:
+identical surface). Connections persist: each client keeps a small,
+lock-guarded pool of idle HTTP/1.1 connections shared by every thread
+using it (the router shares one client per shard across its handler
+threads). A pooled connection the peer has closed is dropped before
+reuse, and one that fails mid-request is closed, never pooled again. A
+client inherited by a forked child forgets the parent's connections
+instead of sending on them.
+
+Failures are typed:
 
 * 4xx/5xx replies surface as :class:`~repro.exceptions.ServingError`
   carrying the server's error message — the server *answered*, the
@@ -26,13 +34,38 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import socket
+import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from typing import Dict, List, Optional
 
 from repro.exceptions import ServingError, ServingUnavailableError
+
+#: Idle connections kept per client; more concurrent requests than this
+#: still run, their surplus connections are closed on return.
+_MAX_IDLE = 8
+
+
+def _reusable(connection: http.client.HTTPConnection) -> bool:
+    """Whether an idle pooled connection is open with nothing unread.
+
+    A non-blocking peek, not ``select``: it works for any descriptor
+    number. An empty read means the peer closed; stray bytes mean the
+    exchange is out of step — neither connection may carry a request.
+    """
+    sock = connection.sock
+    if sock is None:
+        return False
+    try:
+        sock.setblocking(False)
+        sock.recv(1, socket.MSG_PEEK)
+    except BlockingIOError:
+        return True
+    except OSError:
+        return False
+    return False
 
 
 class ServingClient:
@@ -54,6 +87,9 @@ class ServingClient:
         Attach per-user sequence numbers to ``/events`` so retried
         appends are deduplicated server-side. Disable only for
         multi-writer setups where this client does not own its users.
+
+    The client is thread-safe and holds open connections; :meth:`close`
+    (or a ``with`` block) releases them.
     """
 
     def __init__(
@@ -70,12 +106,85 @@ class ServingClient:
         if backoff_s < 0 or max_backoff_s < 0:
             raise ServingError("backoff delays must be non-negative")
         self.base_url = base_url.rstrip("/")
+        parts = urllib.parse.urlsplit(self.base_url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ServingError(f"expected an http:// base URL, got {base_url!r}")
+        try:
+            self._address = (parts.hostname, parts.port or 80)
+        except ValueError as exc:
+            raise ServingError(f"bad port in {base_url!r}") from exc
+        self._prefix = parts.path
         self.timeout = timeout
         self.retries = retries
         self.backoff_s = backoff_s
         self.max_backoff_s = max_backoff_s
         self.track_seq = track_seq
         self._next_seq: Dict[int, int] = {}
+        self._idle: List[http.client.HTTPConnection] = []
+        self._pool_lock = threading.Lock()
+        self._pool_pid = os.getpid()
+
+    # ------------------------------------------------------------------
+    # Connection pool
+    # ------------------------------------------------------------------
+    def _forget_inherited(self) -> None:
+        """In a forked child, drop the parent's pooled connections.
+
+        The copies are closed without ``shutdown``, which would cut the
+        parent's sockets too, and the lock is replaced because another
+        parent thread may have held it at the fork.
+        """
+        if self._pool_pid == os.getpid():
+            return
+        inherited, self._idle = self._idle, []
+        self._pool_lock = threading.Lock()
+        self._pool_pid = os.getpid()
+        for connection in inherited:
+            connection.close()
+
+    def _checkout(self, timeout: float) -> http.client.HTTPConnection:
+        self._forget_inherited()
+        while True:
+            with self._pool_lock:
+                connection = self._idle.pop() if self._idle else None
+            if connection is None:
+                return http.client.HTTPConnection(*self._address, timeout=timeout)
+            if _reusable(connection):
+                connection.sock.settimeout(timeout)
+                return connection
+            self._discard(connection)
+
+    def _checkin(self, connection: http.client.HTTPConnection) -> None:
+        with self._pool_lock:
+            if len(self._idle) < _MAX_IDLE:
+                self._idle.append(connection)
+                return
+        self._discard(connection)
+
+    @staticmethod
+    def _discard(connection: http.client.HTTPConnection) -> None:
+        """Close for good; ``shutdown`` so the server sees EOF even if a
+        forked child still holds a copy of the descriptor."""
+        if connection.sock is not None:
+            try:
+                connection.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        connection.close()
+
+    def close(self) -> None:
+        """Close every idle pooled connection; later requests reconnect."""
+        self._forget_inherited()
+        with self._pool_lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            self._discard(connection)
+
+    def __enter__(self) -> "ServingClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Transport
@@ -84,44 +193,47 @@ class ServingClient:
         self, path: str, payload: Optional[dict], timeout: float
     ) -> Dict[str, object]:
         url = f"{self.base_url}{path}"
-        data = (
-            json.dumps(payload).encode("utf-8")
-            if payload is not None
-            else None
-        )
-        request = urllib.request.Request(
-            url,
-            data=data,
-            headers={"Content-Type": "application/json"},
-            method="POST" if data is not None else "GET",
-        )
+        connection = self._checkout(timeout)
         try:
-            with urllib.request.urlopen(request, timeout=timeout) as reply:
-                return json.loads(reply.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
+            if payload is None:
+                connection.request("GET", self._prefix + path)
+            else:
+                connection.request(
+                    "POST",
+                    self._prefix + path,
+                    body=json.dumps(payload).encode("utf-8"),
+                    headers={"Content-Type": "application/json"},
+                )
+            reply = connection.getresponse()
+            body = reply.read()
+        except (OSError, http.client.HTTPException) as exc:
+            # Unreachable, socket timeouts, resets, and torn HTTP
+            # exchanges: the server never answered. The connection may
+            # still deliver a late reply, so it is never reused.
+            self._discard(connection)
+            raise ServingUnavailableError(f"cannot reach {url}: {exc}") from exc
+        if reply.will_close:
+            self._discard(connection)
+        else:
+            self._checkin(connection)
+        if reply.status >= 400:
             try:
-                message = json.loads(exc.read().decode("utf-8")).get(
-                    "error", str(exc)
+                message = json.loads(body.decode("utf-8")).get(
+                    "error", reply.reason
                 )
             except Exception:  # noqa: BLE001 - body may not be JSON
-                message = str(exc)
-            if exc.code == 503:
+                message = reply.reason
+            if reply.status == 503:
                 # Service Unavailable is transient by definition (the
                 # cluster router answers it while a shard restarts):
                 # typed as unavailability so idempotent calls retry.
                 raise ServingUnavailableError(
                     f"{path} failed with HTTP 503: {message}"
-                ) from exc
+                )
             raise ServingError(
-                f"{path} failed with HTTP {exc.code}: {message}"
-            ) from exc
-        except (OSError, http.client.HTTPException) as exc:
-            # URLError (unreachable), socket timeouts, resets, and torn
-            # HTTP exchanges: the server never answered.
-            reason = getattr(exc, "reason", exc)
-            raise ServingUnavailableError(
-                f"cannot reach {url}: {reason}"
-            ) from exc
+                f"{path} failed with HTTP {reply.status}: {message}"
+            )
+        return json.loads(body.decode("utf-8"))
 
     def _request(
         self,

@@ -20,6 +20,11 @@ Route        Method  Body / response
                      hung worker; the supervisor must detect and react)
 ===========  ======  ====================================================
 
+Connections are persistent (HTTP/1.1 keep-alive with ``TCP_NODELAY``):
+a client pays the TCP handshake and the handler-thread start once per
+connection, not once per request. Error replies close their connection,
+and :meth:`RecommendServer.close` cuts every live one.
+
 Handler threads funnel into the service's micro-batching queue, so
 concurrent HTTP clients are exactly what fills scoring batches. Request
 logging goes through :mod:`repro.logging_utils` with the service's
@@ -30,11 +35,12 @@ are disabled.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Optional, Set, Tuple
 
 from repro.exceptions import ReproError, ServingError
 from repro.logging_utils import get_logger
@@ -46,11 +52,89 @@ logger = get_logger("serving.server")
 MAX_BODY_BYTES = 1 << 20
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Route HTTP requests into the wrapped service."""
+def _cut(connection: socket.socket) -> None:
+    """Shut a socket down both ways; its handler thread then sees EOF."""
+    try:
+        connection.shutdown(socket.SHUT_RDWR)
+    except OSError:  # already closed by the peer or by its handler
+        pass
 
-    #: Set by RecommendServer before the server starts.
-    service: RecommendService
+
+class KeepAliveHTTPServer(ThreadingHTTPServer):
+    """A threading HTTP server that can cut its persistent connections.
+
+    Under HTTP/1.1 a handler thread serves one connection until the
+    client hangs up, so stopping the accept loop alone would leave idle
+    keep-alive connections answering after the service behind them
+    closed. :meth:`close` stops accepting and then shuts down every open
+    connection, so clients see the same unavailability a refused
+    connection gives them.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, address: Tuple[str, int], handler: type) -> None:
+        super().__init__(address, handler)
+        self._connections: Set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        self._closing = False
+
+    def track(self, connection: socket.socket) -> None:
+        with self._connections_lock:
+            if not self._closing:
+                self._connections.add(connection)
+                return
+        _cut(connection)  # accepted while close() ran
+
+    def untrack(self, connection: socket.socket) -> None:
+        with self._connections_lock:
+            self._connections.discard(connection)
+
+    def close(self) -> None:
+        """Stop the accept loop, cut every live connection, unbind."""
+        self.shutdown()
+        with self._connections_lock:
+            self._closing = True
+            live = list(self._connections)
+        for connection in live:
+            _cut(connection)
+        self.server_close()
+
+
+class JSONRequestHandler(BaseHTTPRequestHandler):
+    """JSON-over-HTTP/1.1 plumbing shared by the shard and router handlers.
+
+    Connections persist between requests. A connection is kept only
+    after a successful reply to a request whose body was read in full:
+    any reply with status >= 400 — and any reply leaving body bytes
+    unread — carries ``Connection: close``, so leftover bytes can never
+    be parsed as the next request.
+    """
+
+    protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; with Nagle on, a persistent
+    # connection stalls every reply on the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
+    server: KeepAliveHTTPServer
+
+    def setup(self) -> None:
+        super().setup()
+        self.server.track(self.connection)
+
+    def finish(self) -> None:
+        try:
+            super().finish()
+        finally:
+            self.server.untrack(self.connection)
+
+    def parse_request(self) -> bool:
+        parsed = super().parse_request()
+        # Body bytes sit unread on the connection until _read_json runs.
+        self._body_pending = parsed and (
+            self.headers.get("Content-Length", "0").strip() != "0"
+            or "Transfer-Encoding" in self.headers
+        )
+        return parsed
 
     # Silence the default stderr access log; we log through `repro`.
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
@@ -62,18 +146,32 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if status >= 400 or self._body_pending:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError):
             # The client gave up (timeout, retry elsewhere) before the
             # reply went out; nothing to answer anymore.
             logger.debug("client disconnected before reply on %s", self.path)
+            self.close_connection = True
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
+        if "Transfer-Encoding" in self.headers:
+            raise ServingError("chunked request bodies are not supported")
+        declared = self.headers.get("Content-Length", "0")
+        try:
+            length = int(declared)
+        except ValueError as exc:
+            raise ServingError(
+                f"malformed Content-Length {declared!r}"
+            ) from exc
+        if length < 0:
+            raise ServingError(f"malformed Content-Length {declared!r}")
         if length > MAX_BODY_BYTES:
             raise ServingError(f"request body too large ({length} bytes)")
         raw = self.rfile.read(length) if length else b""
+        self._body_pending = False
         try:
             payload = json.loads(raw or b"{}")
         except json.JSONDecodeError as exc:
@@ -91,6 +189,25 @@ class _Handler(BaseHTTPRequestHandler):
         except (TypeError, ValueError) as exc:
             raise ServingError(f"field {name!r} must be an integer") from exc
 
+    @staticmethod
+    def _query_field(query: str, name: str) -> int:
+        values = urllib.parse.parse_qs(query).get(name)
+        if not values:
+            raise ServingError(f"missing required query param {name!r}")
+        try:
+            return int(values[0])
+        except ValueError as exc:
+            raise ServingError(
+                f"query param {name!r} must be an integer"
+            ) from exc
+
+
+class _Handler(JSONRequestHandler):
+    """Route HTTP requests into the wrapped service."""
+
+    #: Set by RecommendServer before the server starts.
+    service: RecommendService
+
     def _hang_if_armed(self) -> None:
         """Chaos gate: stall this handler while a hang window is open."""
         until = getattr(self.server, "hang_until", 0.0)
@@ -107,13 +224,7 @@ class _Handler(BaseHTTPRequestHandler):
             elif parsed.path == "/metrics":
                 self._send_json(200, self.service.metrics_snapshot())
             elif parsed.path == "/state":
-                query = urllib.parse.parse_qs(parsed.query)
-                if "user" not in query:
-                    raise ServingError("missing required query param 'user'")
-                try:
-                    user = int(query["user"][0])
-                except ValueError as exc:
-                    raise ServingError("query param 'user' must be an integer") from exc
+                user = self._query_field(parsed.query, "user")
                 self._send_json(200, self.service.user_state(user))
             else:
                 self._send_json(404, {"error": f"unknown route {self.path}"})
@@ -179,8 +290,8 @@ class RecommendServer:
 
     ``start()`` serves from a daemon thread (tests, embedding);
     ``serve_forever()`` blocks (the CLI). ``close()`` shuts the listener
-    down and closes the service — sealing the event log, so a restarted
-    server recovers by replay.
+    and every kept-alive connection down and closes the service —
+    sealing the event log, so a restarted server recovers by replay.
     """
 
     def __init__(
@@ -191,8 +302,7 @@ class RecommendServer:
     ) -> None:
         handler = type("BoundHandler", (_Handler,), {"service": service})
         self.service = service
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = KeepAliveHTTPServer((host, port), handler)
         self._httpd.hang_until = 0.0  # type: ignore[attr-defined] - chaos gate
         self._thread: Optional[threading.Thread] = None
 
@@ -228,9 +338,11 @@ class RecommendServer:
             self.close()
 
     def close(self) -> None:
-        """Stop the listener, then close the service (seals the log)."""
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        """Stop the listener, cut live connections, close the service.
+
+        Closing the service seals the event log.
+        """
+        self._httpd.close()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None

@@ -145,6 +145,23 @@ class TestRouting:
         assert health["status"] == "ok"
         assert health["running"] == 2
 
+    def test_error_reply_does_not_poison_router_connection(
+        self, cluster
+    ) -> None:
+        """Unknown POST routes are answered without reading the body."""
+        _, _, client = cluster
+        for _ in range(3):
+            with pytest.raises(ServingError, match="HTTP 404"):
+                client._request("/nope", {"user": 0, "item": 1})
+            assert client.recommend(0, k=3)["degraded"] is False
+
+    def test_router_close_cuts_pooled_connections(self, cluster) -> None:
+        _, router, client = cluster
+        assert client.health()  # leaves one pooled connection
+        router.close()
+        with pytest.raises(ServingUnavailableError):
+            client._request("/healthz", retries=0)
+
 
 class TestMergedMetrics:
     def test_merge_is_exact_across_shards(

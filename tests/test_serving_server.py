@@ -9,7 +9,9 @@ JSON reply.
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
 import time
 import urllib.request
 
@@ -28,6 +30,7 @@ from repro.serving import (
     ServingClient,
     service_for_split,
 )
+from repro.serving.server import MAX_BODY_BYTES
 
 
 @pytest.fixture()
@@ -57,6 +60,20 @@ def served_with_log(gowalla_split: SplitDataset, tmp_path):
         yield server, ServingClient(server.url), gowalla_split
     finally:
         server.close()
+
+
+def count_connections(server: RecommendServer) -> list:
+    """Record the peer address of every connection ``server`` accepts."""
+    accepted = []
+    httpd = server._httpd
+    process_request = httpd.process_request
+
+    def counting(request, client_address) -> None:
+        accepted.append(client_address)
+        process_request(request, client_address)
+
+    httpd.process_request = counting
+    return accepted
 
 
 class TestRoutes:
@@ -282,3 +299,112 @@ class TestLifecycle:
             assert one.address != two.address
             assert ServingClient(one.url).health()
             assert ServingClient(two.url).health()
+
+
+class TestPersistentConnections:
+    def test_sequential_requests_share_one_connection(self, served) -> None:
+        server, client, _ = served
+        accepted = count_connections(server)
+        for request in range(50):
+            if request % 2:
+                assert client.health()
+            else:
+                client.recommend(0, k=3)
+        assert len(accepted) == 1
+
+    def test_sequential_events_do_not_stall(self, served) -> None:
+        """Guard against the ~40 ms Nagle/delayed-ACK stall per reply."""
+        _, client, split = served
+        items = split.full_sequence(0).items
+        start = time.monotonic()
+        for step in range(200):
+            client.ingest(0, int(items[step % len(items)]))
+        elapsed = time.monotonic() - start
+        assert elapsed < 4.0, f"200 events took {elapsed:.2f}s"
+
+    def test_error_replies_do_not_poison_the_connection(self, served) -> None:
+        """After each bad request the same client's next request works."""
+        server, client, _ = served
+        accepted = count_connections(server)
+        bad_requests = [
+            ("/nope", {"user": 0}, "HTTP 404"),  # unknown POST route
+            (  # the server may reject before the client finished sending
+                "/events",
+                {"user": 0, "item": 1, "pad": "x" * MAX_BODY_BYTES},
+                "too large|Broken pipe|reset",
+            ),
+            ("/events", {"user": 0}, "missing required field"),
+        ]
+        for path, payload, message in bad_requests:
+            with pytest.raises(ServingError, match=message):
+                client._request(path, payload, retries=0)
+            assert client.recommend(0, k=3)["user"] == 0
+        # Every error reply closed its connection, and the good request
+        # after it reconnected: one connection per bad request, plus the
+        # one the last good request left open.
+        assert len(accepted) == len(bad_requests) + 1
+
+    @pytest.mark.parametrize(
+        "method, path, length, status, message",
+        [
+            ("POST", "/events", "twelve", 400, b"malformed Content-Length"),
+            ("GET", "/healthz", "11", 200, b"ok"),  # body never read
+        ],
+    )
+    def test_unread_body_closes_the_connection(
+        self, served, method, path, length, status, message
+    ) -> None:
+        server, _, _ = served
+        host, port = server.address
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            connection.putrequest(method, path)
+            connection.putheader("Content-Length", length)
+            connection.endheaders(b'{"user": 0}')
+            reply = connection.getresponse()
+            assert reply.status == status
+            assert reply.getheader("Connection") == "close"
+            assert message in reply.read()
+            # The leftover body died with the connection: a request on
+            # a fresh one parses cleanly.
+            connection.request("GET", "/healthz")
+            reply = connection.getresponse()
+            assert reply.status == 200
+            assert json.loads(reply.read()) == {"status": "ok"}
+        finally:
+            connection.close()
+
+    def test_close_cuts_pooled_connections(
+        self, gowalla_split: SplitDataset
+    ) -> None:
+        """A kept-alive client sees a closed server as unavailable."""
+        model = RecencyRecommender().fit(gowalla_split, SMALL_WINDOW)
+        config = ServiceConfig(
+            window=SMALL_WINDOW, n_items=gowalla_split.n_items
+        )
+        server = RecommendServer(
+            service_for_split(model, gowalla_split, config=config), port=0
+        ).start()
+        client = ServingClient(server.url, timeout=5.0, retries=0)
+        assert client.health()  # leaves one pooled connection
+        server.close()
+        with pytest.raises(ServingUnavailableError):
+            client.recommend(0, k=3)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_never_sends_on_parent_socket(self, served) -> None:
+        server, client, _ = served
+        accepted = count_connections(server)
+        assert client.health()
+        pid = os.fork()
+        if pid == 0:  # child: exit without returning into pytest
+            code = 1
+            try:
+                code = 0 if client.health() else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert len(accepted) == 2  # the child had to connect on its own
+        assert client.health()
+        assert len(accepted) == 2  # and the parent's socket still works
