@@ -105,6 +105,12 @@ class ShardClients:
         for client in clients:
             client.close()
 
+    def __enter__(self) -> "ShardClients":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
 
 class WorkerHandle:
     """Mutable supervisor-side view of one worker process."""
@@ -500,22 +506,22 @@ class ShardSupervisor:
                 handle.state = FAILED
             logger.error("%s: restart failed to come up", handle.name)
             return
-        client = ServingClient(
+        with ServingClient(
             handle.url or "",
             timeout=max(self.heartbeat_timeout_s, 5.0),
             retries=2,
-        )
-        for user, fingerprint in expected.items():
-            rebuilt = client.state(user)["fingerprint"]
-            if rebuilt != fingerprint:
-                with self._lock:
-                    handle.state = FAILED
-                logger.error(
-                    "%s: rehydrated state for user %d diverged "
-                    "(expected %s, got %s) — shard stays FAILED",
-                    handle.name, user, fingerprint, rebuilt,
-                )
-                return
+        ) as client:
+            for user, fingerprint in expected.items():
+                rebuilt = client.state(user)["fingerprint"]
+                if rebuilt != fingerprint:
+                    with self._lock:
+                        handle.state = FAILED
+                    logger.error(
+                        "%s: rehydrated state for user %d diverged "
+                        "(expected %s, got %s) — shard stays FAILED",
+                        handle.name, user, fingerprint, rebuilt,
+                    )
+                    return
         with self._lock:
             handle.state = RUNNING
             handle.misses = 0
@@ -586,30 +592,28 @@ class ShardSupervisor:
         expected = self.expected_fingerprints(name)
         new_ring = self.ring.without(name)
         moved: Dict[str, List[int]] = {}
-        if handle.spec.log_path.exists():
-            log = EventLog.open(handle.spec.log_path, readonly=True)
-            clients: Dict[str, ServingClient] = {}
-            for event in log.events():
-                owner = new_ring.owner(event.user)
-                client = clients.get(owner)
-                if client is None:
-                    client = clients[owner] = ServingClient(
-                        self.url_of(owner), timeout=30.0, retries=3
-                    )
-                client.ingest(event.user, event.item)
-                moved.setdefault(owner, []).append(event.user)
-        # Swap the ring only after the migration is fully applied: until
-        # here the drained users resolve to the DRAINING shard (no url),
-        # so the router held their writes instead of racing the replay.
-        with self._lock:
-            self.ring = new_ring
-            handle.state = STOPPED
         mismatches = []
-        for owner, users in moved.items():
-            client = ServingClient(self.url_of(owner), timeout=30.0, retries=3)
-            for user in sorted(set(users)):
-                if client.state(user)["fingerprint"] != expected[user]:
-                    mismatches.append((owner, user))
+        with ShardClients(timeout=30.0, retries=3) as clients:
+            if handle.spec.log_path.exists():
+                log = EventLog.open(handle.spec.log_path, readonly=True)
+                for event in log.events():
+                    owner = new_ring.owner(event.user)
+                    clients.get(owner, self.url_of(owner)).ingest(
+                        event.user, event.item
+                    )
+                    moved.setdefault(owner, []).append(event.user)
+            # Swap the ring only after the migration is fully applied:
+            # until here the drained users resolve to the DRAINING shard
+            # (no url), so the router held their writes instead of
+            # racing the replay.
+            with self._lock:
+                self.ring = new_ring
+                handle.state = STOPPED
+            for owner, users in moved.items():
+                client = clients.get(owner, self.url_of(owner))
+                for user in sorted(set(users)):
+                    if client.state(user)["fingerprint"] != expected[user]:
+                        mismatches.append((owner, user))
         if mismatches:
             raise ServingError(
                 f"drain of {name!r} migrated users with diverged state: "

@@ -153,9 +153,8 @@ class ProcessFaultInjector:
         # time (serving already imports resilience).
         from repro.serving.client import ServingClient
 
-        ServingClient(base_url, timeout=timeout, retries=0).hang(
-            seconds, timeout=timeout
-        )
+        with ServingClient(base_url, timeout=timeout, retries=0) as client:
+            client.hang(seconds, timeout=timeout)
         self.hangs.append((base_url, float(seconds)))
 
     def __repr__(self) -> str:

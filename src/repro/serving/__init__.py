@@ -18,7 +18,8 @@ now?", while staying bit-identical to the offline evaluation protocol:
   ``score_batch`` kernels, with per-request deadlines degrading to the
   Recency baseline;
 * :mod:`~repro.serving.server` / :mod:`~repro.serving.client` —
-  stdlib-only JSON-over-HTTP transport;
+  stdlib-only JSON over persistent HTTP/1.1 connections, framed by the
+  strict codec in :mod:`~repro.serving.wire`;
 * :mod:`~repro.serving.metrics` — latency histograms (p50/p95/p99),
   request/fallback/eviction counters, and session-cache hit rate,
   exposed on ``/metrics`` — with exact, order-independent cross-shard

@@ -1,21 +1,26 @@
-"""Stdlib HTTP client for the serving endpoints.
+"""HTTP client for the serving endpoints.
 
-A thin :mod:`http.client` wrapper speaking the same routes as
-:mod:`repro.serving.server` (and the cluster router, which mounts the
-identical surface). Connections persist: each client keeps a small,
-lock-guarded pool of idle HTTP/1.1 connections shared by every thread
-using it (the router shares one client per shard across its handler
-threads). A pooled connection the peer has closed is dropped before
-reuse, and one that fails mid-request is closed, never pooled again. A
-client inherited by a forked child forgets the parent's connections
-instead of sending on them.
+Speaks the same routes as :mod:`repro.serving.server` (and the cluster
+router, which mounts the identical surface) over the strict HTTP/1.1
+subset of :mod:`repro.serving.wire`. Connections persist: each client
+keeps a small, lock-guarded pool of idle connections shared by every
+thread using it (the router shares one client per shard across its
+handler threads). A connection is one ``TCP_NODELAY`` socket with its
+read buffer; a request goes out in one ``sendall`` and its reply is read
+by splitting the header block and then exactly ``Content-Length`` body
+bytes. A pooled connection the peer has closed is dropped before reuse,
+and one that fails mid-request — or holds bytes past the reply it just
+read — is closed, never pooled again. A client inherited by a forked
+child forgets the parent's connections instead of sending on them.
 
 Failures are typed:
 
 * 4xx/5xx replies surface as :class:`~repro.exceptions.ServingError`
   carrying the server's error message — the server *answered*, the
-  request was wrong;
-* connection failures and timeouts surface as
+  request was wrong; so does a payload over
+  :data:`~repro.serving.wire.MAX_BODY_BYTES`, refused before sending;
+* connection failures, timeouts and torn replies (one cut short, or
+  without ``Content-Length``) surface as
   :class:`~repro.exceptions.ServingUnavailableError` — the request may
   never have been processed, so idempotent retries are safe.
 
@@ -32,35 +37,102 @@ routing guarantees in the cluster.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import socket
 import threading
 import time
 import urllib.parse
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import ServingError, ServingUnavailableError
+from repro.serving.wire import MAX_BODY_BYTES, Headers
 
 #: Idle connections kept per client; more concurrent requests than this
 #: still run, their surplus connections are closed on return.
 _MAX_IDLE = 8
 
+#: Largest reply header block read before the reply counts as torn.
+_MAX_HEAD_BYTES = 1 << 16
 
-def _reusable(connection: http.client.HTTPConnection) -> bool:
+
+class _Connection:
+    """One HTTP/1.1 connection: a ``TCP_NODELAY`` socket and its buffer.
+
+    Raises :class:`OSError` for every failure, torn replies included
+    (:class:`ConnectionError`), so the caller has one error to type.
+    """
+
+    def __init__(self, address: Tuple[str, int], timeout: float) -> None:
+        self.sock = socket.create_connection(address, timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.buffer = bytearray()
+
+    def _receive(self) -> None:
+        chunk = self.sock.recv(65536)
+        if not chunk:
+            raise ConnectionError("connection closed before the reply ended")
+        self.buffer += chunk
+
+    def exchange(self, request: bytes) -> Tuple[int, str, bytes, bool]:
+        """Send ``request``; return the reply's status, reason, body and
+        whether the connection may carry another request."""
+        self.sock.sendall(request)
+        buffer = self.buffer
+        while True:
+            end = buffer.find(b"\r\n\r\n")
+            if end >= 0:
+                break
+            if len(buffer) > _MAX_HEAD_BYTES:
+                raise ConnectionError("reply header block too large")
+            self._receive()
+        status_line, *lines = bytes(buffer[:end]).split(b"\r\n")
+        parts = status_line.split(b" ", 2)
+        if (
+            len(parts) < 2
+            or not parts[0].startswith(b"HTTP/1.")
+            or not (len(parts[1]) == 3 and parts[1].isdigit())
+        ):
+            raise ConnectionError(f"malformed status line {status_line[:80]!r}")
+        headers = Headers()
+        for line in lines:
+            if not headers.add_line(line):
+                raise ConnectionError("reply header line without a colon")
+        try:
+            length = headers.content_length()
+        except ValueError as exc:
+            raise ConnectionError(str(exc)) from None
+        if length is None:
+            raise ConnectionError("reply has no Content-Length")
+        start = end + 4
+        stop = start + length
+        while len(buffer) < stop:
+            self._receive()
+        body = bytes(buffer[start:stop])
+        del buffer[:stop]
+        # Bytes past the reply mean the exchange is out of step.
+        keep = (
+            not buffer
+            and parts[0] == b"HTTP/1.1"
+            and not headers.has_token("Connection", "close")
+        )
+        reason = parts[2].decode("latin-1") if len(parts) > 2 else ""
+        return int(parts[1]), reason, body, keep
+
+    def close(self) -> None:
+        self.sock.close()
+
+
+def _reusable(connection: _Connection) -> bool:
     """Whether an idle pooled connection is open with nothing unread.
 
     A non-blocking peek, not ``select``: it works for any descriptor
     number. An empty read means the peer closed; stray bytes mean the
     exchange is out of step — neither connection may carry a request.
     """
-    sock = connection.sock
-    if sock is None:
-        return False
     try:
-        sock.setblocking(False)
-        sock.recv(1, socket.MSG_PEEK)
+        connection.sock.setblocking(False)
+        connection.sock.recv(1, socket.MSG_PEEK)
     except BlockingIOError:
         return True
     except OSError:
@@ -113,6 +185,10 @@ class ServingClient:
             self._address = (parts.hostname, parts.port or 80)
         except ValueError as exc:
             raise ServingError(f"bad port in {base_url!r}") from exc
+        host = parts.hostname
+        if ":" in host:  # an IPv6 literal
+            host = f"[{host}]"
+        self._host = f"{host}:{self._address[1]}"
         self._prefix = parts.path
         self.timeout = timeout
         self.retries = retries
@@ -120,7 +196,7 @@ class ServingClient:
         self.max_backoff_s = max_backoff_s
         self.track_seq = track_seq
         self._next_seq: Dict[int, int] = {}
-        self._idle: List[http.client.HTTPConnection] = []
+        self._idle: List[_Connection] = []
         self._pool_lock = threading.Lock()
         self._pool_pid = os.getpid()
 
@@ -142,19 +218,19 @@ class ServingClient:
         for connection in inherited:
             connection.close()
 
-    def _checkout(self, timeout: float) -> http.client.HTTPConnection:
+    def _checkout(self, timeout: float) -> _Connection:
         self._forget_inherited()
         while True:
             with self._pool_lock:
                 connection = self._idle.pop() if self._idle else None
             if connection is None:
-                return http.client.HTTPConnection(*self._address, timeout=timeout)
+                return _Connection(self._address, timeout)
             if _reusable(connection):
                 connection.sock.settimeout(timeout)
                 return connection
             self._discard(connection)
 
-    def _checkin(self, connection: http.client.HTTPConnection) -> None:
+    def _checkin(self, connection: _Connection) -> None:
         with self._pool_lock:
             if len(self._idle) < _MAX_IDLE:
                 self._idle.append(connection)
@@ -162,14 +238,13 @@ class ServingClient:
         self._discard(connection)
 
     @staticmethod
-    def _discard(connection: http.client.HTTPConnection) -> None:
+    def _discard(connection: _Connection) -> None:
         """Close for good; ``shutdown`` so the server sees EOF even if a
         forked child still holds a copy of the descriptor."""
-        if connection.sock is not None:
-            try:
-                connection.sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
+        try:
+            connection.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         connection.close()
 
     def close(self) -> None:
@@ -189,50 +264,55 @@ class ServingClient:
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
+    def _encode(self, path: str, payload: Optional[dict]) -> bytes:
+        """The whole request — head and body — as one buffer."""
+        head = f"{self._prefix}{path} HTTP/1.1\r\nHost: {self._host}\r\n"
+        if payload is None:
+            return f"GET {head}\r\n".encode("ascii")
+        body = json.dumps(payload).encode("utf-8")
+        if len(body) > MAX_BODY_BYTES:
+            raise ServingError(
+                f"{path}: request body too large ({len(body)} bytes, "
+                f"limit {MAX_BODY_BYTES})"
+            )
+        return (
+            f"POST {head}Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode("ascii") + body
+
     def _attempt(
-        self, path: str, payload: Optional[dict], timeout: float
+        self, path: str, request: bytes, timeout: float
     ) -> Dict[str, object]:
-        url = f"{self.base_url}{path}"
-        connection = self._checkout(timeout)
+        connection = None
         try:
-            if payload is None:
-                connection.request("GET", self._prefix + path)
-            else:
-                connection.request(
-                    "POST",
-                    self._prefix + path,
-                    body=json.dumps(payload).encode("utf-8"),
-                    headers={"Content-Type": "application/json"},
-                )
-            reply = connection.getresponse()
-            body = reply.read()
-        except (OSError, http.client.HTTPException) as exc:
+            connection = self._checkout(timeout)
+            status, reason, body, keep = connection.exchange(request)
+        except OSError as exc:
             # Unreachable, socket timeouts, resets, and torn HTTP
             # exchanges: the server never answered. The connection may
             # still deliver a late reply, so it is never reused.
-            self._discard(connection)
-            raise ServingUnavailableError(f"cannot reach {url}: {exc}") from exc
-        if reply.will_close:
-            self._discard(connection)
-        else:
+            if connection is not None:
+                self._discard(connection)
+            raise ServingUnavailableError(
+                f"cannot reach {self.base_url}{path}: {exc}"
+            ) from exc
+        if keep:
             self._checkin(connection)
-        if reply.status >= 400:
+        else:
+            self._discard(connection)
+        if status >= 400:
             try:
-                message = json.loads(body.decode("utf-8")).get(
-                    "error", reply.reason
-                )
+                message = json.loads(body.decode("utf-8")).get("error", reason)
             except Exception:  # noqa: BLE001 - body may not be JSON
-                message = reply.reason
-            if reply.status == 503:
+                message = reason
+            if status == 503:
                 # Service Unavailable is transient by definition (the
                 # cluster router answers it while a shard restarts):
                 # typed as unavailability so idempotent calls retry.
                 raise ServingUnavailableError(
                     f"{path} failed with HTTP 503: {message}"
                 )
-            raise ServingError(
-                f"{path} failed with HTTP {reply.status}: {message}"
-            )
+            raise ServingError(f"{path} failed with HTTP {status}: {message}")
         return json.loads(body.decode("utf-8"))
 
     def _request(
@@ -243,12 +323,13 @@ class ServingClient:
         retries: Optional[int] = None,
     ) -> Dict[str, object]:
         """One request with bounded-backoff retries on unavailability."""
+        request = self._encode(path, payload)
         timeout = self.timeout if timeout is None else float(timeout)
         retries = self.retries if retries is None else int(retries)
         attempt = 0
         while True:
             try:
-                return self._attempt(path, payload, timeout)
+                return self._attempt(path, request, timeout)
             except ServingUnavailableError:
                 if attempt >= retries:
                     raise

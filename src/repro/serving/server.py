@@ -1,7 +1,8 @@
-"""Stdlib JSON-over-HTTP front end for :class:`RecommendService`.
+"""JSON-over-HTTP/1.1 front end for :class:`RecommendService`.
 
 No framework, no new dependency: a :class:`http.server.ThreadingHTTPServer`
-whose handler translates four routes into service calls:
+accept loop whose handler translates the routes below into service
+calls:
 
 ===========  ======  ====================================================
 Route        Method  Body / response
@@ -25,6 +26,13 @@ a client pays the TCP handshake and the handler-thread start once per
 connection, not once per request. Error replies close their connection,
 and :meth:`RecommendServer.close` cuts every live one.
 
+:class:`JSONRequestHandler` keeps :class:`http.server.BaseHTTPRequestHandler`'s
+read loop but frames requests and replies itself, with the strict
+limits of :mod:`repro.serving.wire`: a split-based header parser in
+place of the stdlib's :mod:`email.parser` one, ``Content-Length``-only
+bodies, and every reply — protocol errors included — one JSON buffer
+written with a single ``send``.
+
 Handler threads funnel into the service's micro-batching queue, so
 concurrent HTTP clients are exactly what fills scoring batches. Request
 logging goes through :mod:`repro.logging_utils` with the service's
@@ -35,21 +43,29 @@ are disabled.
 from __future__ import annotations
 
 import json
+import logging
 import socket
 import threading
 import time
 import urllib.parse
+from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Set, Tuple
 
 from repro.exceptions import ReproError, ServingError
 from repro.logging_utils import get_logger
 from repro.serving.service import RecommendService
+from repro.serving.wire import (
+    MAX_BODY_BYTES,
+    MAX_HEADER_LINES,
+    MAX_LINE_BYTES,
+    Headers,
+)
 
 logger = get_logger("serving.server")
 
-#: Reject request bodies beyond this size (a liveness guard, not a quota).
-MAX_BODY_BYTES = 1 << 20
+#: Request versions served; any other HTTP version gets 505.
+_VERSIONS = ("HTTP/1.1", "HTTP/1.0")
 
 
 def _cut(connection: socket.socket) -> None:
@@ -78,6 +94,16 @@ class KeepAliveHTTPServer(ThreadingHTTPServer):
         self._connections: Set[socket.socket] = set()
         self._connections_lock = threading.Lock()
         self._closing = False
+        self._date: Tuple[int, bytes] = (0, b"")
+
+    def date_line(self) -> bytes:
+        """The ``Date`` header line, formatted once per second."""
+        now = int(time.time())
+        second, line = self._date
+        if second != now:
+            line = f"Date: {formatdate(now, usegmt=True)}\r\n".encode("ascii")
+            self._date = (now, line)
+        return line
 
     def track(self, connection: socket.socket) -> None:
         with self._connections_lock:
@@ -104,18 +130,36 @@ class KeepAliveHTTPServer(ThreadingHTTPServer):
 class JSONRequestHandler(BaseHTTPRequestHandler):
     """JSON-over-HTTP/1.1 plumbing shared by the shard and router handlers.
 
-    Connections persist between requests. A connection is kept only
-    after a successful reply to a request whose body was read in full:
-    any reply with status >= 400 — and any reply leaving body bytes
-    unread — carries ``Connection: close``, so leftover bytes can never
-    be parsed as the next request.
+    :class:`BaseHTTPRequestHandler` still owns the read loop: the request
+    line and its 414 limit, socket timeouts, the 501 for unknown methods
+    and dispatch to ``do_<METHOD>``. This class parses the rest of the
+    request and writes every reply:
+
+    * the request line has exactly three words and names HTTP/1.1 or
+      HTTP/1.0 (else 400, or 505 for another version);
+    * at most :data:`~repro.serving.wire.MAX_HEADER_LINES` header lines
+      of at most :data:`~repro.serving.wire.MAX_LINE_BYTES` each (else
+      431), each with a colon (else 400);
+    * a body is framed by one ``Content-Length``; a malformed or
+      conflicting length, or any ``Transfer-Encoding``, gets 400;
+    * ``Expect: 100-continue`` is answered before the body is read.
+
+    Connections persist between requests unless the request is HTTP/1.0
+    or says ``Connection: close``. A connection is kept only after a
+    successful reply to a request whose body was read in full: any reply
+    with status >= 400 — and any reply leaving body bytes unread —
+    carries ``Connection: close``, so leftover bytes can never be parsed
+    as the next request.
     """
 
     protocol_version = "HTTP/1.1"
-    # Headers and body go out as two writes; with Nagle on, a persistent
-    # connection stalls every reply on the client's delayed ACK (~40 ms).
+    # A reply is one write, but one larger than a segment (a /metrics
+    # snapshot) would still hold its tail for the client's delayed ACK
+    # (~40 ms) under Nagle.
     disable_nagle_algorithm = True
     server: KeepAliveHTTPServer
+    _body_length = 0
+    _body_pending = False
 
     def setup(self) -> None:
         super().setup()
@@ -128,46 +172,112 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
             self.server.untrack(self.connection)
 
     def parse_request(self) -> bool:
-        parsed = super().parse_request()
-        # Body bytes sit unread on the connection until _read_json runs.
-        self._body_pending = parsed and (
-            self.headers.get("Content-Length", "0").strip() != "0"
-            or "Transfer-Encoding" in self.headers
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self._body_pending = False
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip(
+            "\r\n"
         )
-        return parsed
+        words = self.requestline.split()
+        if len(words) != 3:
+            self.send_error(400, f"bad request line {self.requestline!r}")
+            return False
+        command, path, version = words
+        if version not in _VERSIONS:
+            status = 505 if version.startswith("HTTP/") else 400
+            self.send_error(status, f"unsupported version {version!r}")
+            return False
+        self.command, self.request_version = command, version
+        # As http.server does: "//host/path" must not read as a URL.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+
+        headers = self.headers = Headers()
+        for _ in range(MAX_HEADER_LINES + 1):
+            line = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if len(line) > MAX_LINE_BYTES:
+                self.send_error(431, "header line too long")
+                return False
+            if line in (b"\r\n", b"\n"):
+                break
+            if not line:  # the peer hung up mid-request
+                return False
+            if not headers.add_line(line):
+                self.send_error(400, "header line without a colon")
+                return False
+        else:
+            self.send_error(431, "too many header lines")
+            return False
+
+        try:
+            length = headers.content_length()
+        except ValueError as exc:
+            self.send_error(400, str(exc))
+            return False
+        if "Transfer-Encoding" in headers:
+            self.send_error(
+                400, "Transfer-Encoding is not supported; send Content-Length"
+            )
+            return False
+        self._body_length = length or 0
+        # Body bytes sit unread on the connection until _read_json runs.
+        self._body_pending = self._body_length > 0
+        self.close_connection = version == "HTTP/1.0" or headers.has_token(
+            "Connection", "close"
+        )
+        if version == "HTTP/1.1" and headers.has_token("Expect", "100-continue"):
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        return True
 
     # Silence the default stderr access log; we log through `repro`.
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
-        logger.debug("%s %s", self.address_string(), format % args)
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("%s %s", self.address_string(), format % args)
+
+    def send_error(
+        self,
+        code: int,
+        message: Optional[str] = None,
+        explain: Optional[str] = None,
+    ) -> None:
+        """Answer a protocol error as JSON, like every other reply."""
+        if message is None:
+            message = self.responses.get(code, ("error",))[0]
+        self.log_error("code %d, message %s", code, message)
+        self._send_json(code, {"error": message})
 
     def _send_json(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode("utf-8")
+        close = status >= 400 or self._body_pending or self.close_connection
+        reason = self.responses.get(status, ("",))[0]
+        head = (
+            f"{self.protocol_version} {status} {reason}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+        ).encode("latin-1")
         try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            if status >= 400 or self._body_pending:
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body)
+            self.wfile.write(
+                b"".join(
+                    (
+                        head,
+                        self.server.date_line(),
+                        b"Connection: close\r\n\r\n" if close else b"\r\n",
+                        body,
+                    )
+                )
+            )
         except (BrokenPipeError, ConnectionResetError):
             # The client gave up (timeout, retry elsewhere) before the
             # reply went out; nothing to answer anymore.
-            logger.debug("client disconnected before reply on %s", self.path)
-            self.close_connection = True
+            logger.debug(
+                "client disconnected before reply to %r", self.requestline
+            )
+            close = True
+        self.close_connection = close
+        self.log_request(status, len(body))
 
     def _read_json(self) -> dict:
-        if "Transfer-Encoding" in self.headers:
-            raise ServingError("chunked request bodies are not supported")
-        declared = self.headers.get("Content-Length", "0")
-        try:
-            length = int(declared)
-        except ValueError as exc:
-            raise ServingError(
-                f"malformed Content-Length {declared!r}"
-            ) from exc
-        if length < 0:
-            raise ServingError(f"malformed Content-Length {declared!r}")
+        length = self._body_length
         if length > MAX_BODY_BYTES:
             raise ServingError(f"request body too large ({length} bytes)")
         raw = self.rfile.read(length) if length else b""

@@ -89,3 +89,33 @@ def tiny_split(tiny_dataset: Dataset) -> SplitDataset:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(99)
+
+
+@pytest.fixture()
+def opened_clients(monkeypatch) -> list:
+    """Every ``ServingClient`` the library builds during the test.
+
+    Each one records whether it was closed. Connections persist, so a
+    client left open pins a server handler thread until it is
+    garbage-collected. Patched where the library looks the class up:
+    :mod:`repro.serving.client` and :mod:`repro.cluster.supervisor`.
+    """
+    from repro.cluster import supervisor
+    from repro.serving import client as client_module
+
+    opened = []
+
+    class RecordingClient(client_module.ServingClient):
+        closed = False
+
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+        def close(self) -> None:
+            self.closed = True
+            super().close()
+
+    for module in (client_module, supervisor):
+        monkeypatch.setattr(module, "ServingClient", RecordingClient)
+    return opened

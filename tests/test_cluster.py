@@ -87,7 +87,8 @@ def cluster(gowalla_split: SplitDataset, tmp_path):
         supervisor, port=0, event_retry_deadline_s=90.0
     ).start()
     try:
-        yield supervisor, router, ServingClient(router.url, timeout=30.0)
+        with ServingClient(router.url, timeout=30.0) as client:
+            yield supervisor, router, client
     finally:
         router.close()
         supervisor.close()
@@ -175,10 +176,10 @@ class TestMergedMetrics:
         for user in USERS:
             client.recommend(user, k=5)
         merged = client.metrics()
-        per_shard = [
-            ServingClient(supervisor.url_of(name)).metrics()
-            for name in supervisor.shard_names()
-        ]
+        per_shard = []
+        for name in supervisor.shard_names():
+            with ServingClient(supervisor.url_of(name)) as shard_client:
+                per_shard.append(shard_client.metrics())
         for counter in ("events", "requests"):
             assert merged["counters"][counter] == sum(
                 s["counters"][counter] for s in per_shard
@@ -274,7 +275,8 @@ class TestRestart:
                 time.sleep(0.05)
             assert supervisor.restart_counts()[victim] == 1
             wait_for_state(supervisor, victim, RUNNING, timeout=90.0)
-            assert ServingClient(supervisor.url_of(victim)).health()
+            with ServingClient(supervisor.url_of(victim)) as client:
+                assert client.health()
         finally:
             supervisor.close()
 
@@ -286,35 +288,36 @@ class TestDrain:
         supervisor = make_supervisor(gowalla_split, tmp_path, n_shards=3)
         supervisor.start()
         try:
-            router = ClusterRouter(supervisor, port=0).start()
-            client = ServingClient(router.url, timeout=30.0)
-            stream = stream_for(gowalla_split, USERS)
-            for user, item in stream:
-                client.ingest(user, item)
-            retiree = supervisor.ring.owner(USERS[0])
-            moving = [u for u in USERS if supervisor.ring.owner(u) == retiree]
-            staying = [u for u in USERS if u not in moving]
-            pre = {u: client.state(u)["fingerprint"] for u in USERS}
+            with ClusterRouter(supervisor, port=0).start() as router, (
+                ServingClient(router.url, timeout=30.0)
+            ) as client:
+                stream = stream_for(gowalla_split, USERS)
+                for user, item in stream:
+                    client.ingest(user, item)
+                retiree = supervisor.ring.owner(USERS[0])
+                moving = [
+                    u for u in USERS if supervisor.ring.owner(u) == retiree
+                ]
+                staying = [u for u in USERS if u not in moving]
+                pre = {u: client.state(u)["fingerprint"] for u in USERS}
 
-            report = supervisor.drain(retiree)
+                report = supervisor.drain(retiree)
 
-            assert report["drained"] == retiree
-            assert set(report["migrated_users"]) == set(moving)
-            assert retiree not in supervisor.ring
-            assert supervisor.states()[retiree] == STOPPED
-            # Every user — migrated or not — fingerprints identically
-            # and keeps taking writes through the router.
-            for user in USERS:
-                assert client.state(user)["fingerprint"] == pre[user]
-                client.ingest(user, 1)
-            for user in moving:
-                assert client.state(user)["shard"] != retiree
-            for user in staying:
-                # Consistent hashing: survivors' users never moved.
-                assert client.state(user)["shard"] == supervisor.ring.owner(
-                    user
-                )
-            router.close()
+                assert report["drained"] == retiree
+                assert set(report["migrated_users"]) == set(moving)
+                assert retiree not in supervisor.ring
+                assert supervisor.states()[retiree] == STOPPED
+                # Every user — migrated or not — fingerprints identically
+                # and keeps taking writes through the router.
+                for user in USERS:
+                    assert client.state(user)["fingerprint"] == pre[user]
+                    client.ingest(user, 1)
+                for user in moving:
+                    assert client.state(user)["shard"] != retiree
+                for user in staying:
+                    # Consistent hashing: survivors' users never moved.
+                    owner = supervisor.ring.owner(user)
+                    assert client.state(user)["shard"] == owner
         finally:
             supervisor.close()
 
@@ -328,6 +331,36 @@ class TestDrain:
                 supervisor.drain("shard-0")
         finally:
             supervisor.close()
+
+
+class TestClientLifetimes:
+    def test_restart_and_drain_close_their_clients(
+        self, gowalla_split: SplitDataset, tmp_path, opened_clients
+    ) -> None:
+        """The restart check and both drain passes close their clients."""
+        supervisor = make_supervisor(gowalla_split, tmp_path, n_shards=3)
+        supervisor.start()
+        try:
+            with ClusterRouter(supervisor, port=0).start() as router, (
+                ServingClient(router.url, timeout=30.0)
+            ) as client:
+                for user, item in stream_for(gowalla_split, USERS):
+                    client.ingest(user, item)
+            victim = supervisor.ring.owner(USERS[0])
+            supervisor.kill_shard(victim)
+            deadline = time.monotonic() + 60.0
+            while supervisor.restart_counts()[victim] < 1:
+                assert time.monotonic() < deadline, "no restart observed"
+                time.sleep(0.05)
+            built = len(opened_clients)
+            report = supervisor.drain(victim)
+            assert report["migrated_events"] > 0
+            assert len(opened_clients) > built  # the drain's own clients
+        finally:
+            supervisor.close()
+        # Router and probe clients close with their owners; the others
+        # must already have been closed where they were used.
+        assert all(client.closed for client in opened_clients)
 
 
 class TestValidation:
@@ -364,6 +397,7 @@ class TestValidation:
                 for _ in range(200):
                     raw.ingest(0, 1)
         finally:
+            raw.close()
             # Leave the fixture healthy for teardown.
             wait_for_state(supervisor, victim, RUNNING)
 
@@ -392,14 +426,14 @@ class TestSharedArena:
         supervisor.start()
         router = ClusterRouter(supervisor, port=0).start()
         try:
-            client = ServingClient(router.url, timeout=30.0)
-            for user, item in stream_for(gowalla_split, USERS):
-                client.ingest(user, item)
-            for user in USERS:
-                assert client.recommend_items(user, k=5)
-                shard = supervisor.ring.owner(user)
-                expected = supervisor.expected_fingerprints(shard, [user])
-                assert client.state(user)["fingerprint"] == expected[user]
+            with ServingClient(router.url, timeout=30.0) as client:
+                for user, item in stream_for(gowalla_split, USERS):
+                    client.ingest(user, item)
+                for user in USERS:
+                    assert client.recommend_items(user, k=5)
+                    shard = supervisor.ring.owner(user)
+                    expected = supervisor.expected_fingerprints(shard, [user])
+                    assert client.state(user)["fingerprint"] == expected[user]
         finally:
             router.close()
             supervisor.close()

@@ -86,38 +86,52 @@ class TestShardKillUnderLoad:
         lock = threading.Lock()
         degraded_count = [0]
 
+        groups = [users[i::3] for i in range(3)]
+        # Each load thread passes this barrier once its round 2 is
+        # acked; the kill lands right after, with ten rounds to go.
+        warmed_up = threading.Barrier(len(groups) + 1)
+
         def load(user_group) -> None:
             # One writer client per thread: each user has exactly one
             # writer, which is the idempotency protocol's assumption.
-            client = ServingClient(router.url, timeout=60.0)
-            try:
-                for round_no in range(ROUNDS):
-                    for user in user_group:
-                        item = (user * 7 + round_no) % split.n_items
-                        client.ingest(user, item)
-                        acked[user].append(item)
-                        reply = client.recommend(user, k=5)
-                        if reply["degraded"]:
-                            degraded_seen.set()
-                            with lock:
-                                degraded_count[0] += 1
-            except Exception as exc:  # noqa: BLE001 - the assertion target
-                errors.append((user_group, repr(exc)))
+            with ServingClient(router.url, timeout=60.0) as client:
+                try:
+                    for round_no in range(ROUNDS):
+                        for user in user_group:
+                            item = (user * 7 + round_no) % split.n_items
+                            client.ingest(user, item)
+                            acked[user].append(item)
+                            reply = client.recommend(user, k=5)
+                            if reply["degraded"]:
+                                degraded_seen.set()
+                                with lock:
+                                    degraded_count[0] += 1
+                        if round_no == 1:
+                            warmed_up.wait(timeout=120.0)
+                except Exception as exc:  # noqa: BLE001 - the assertion target
+                    errors.append((user_group, repr(exc)))
+                    warmed_up.abort()
 
-        groups = [users[i::3] for i in range(3)]
         threads = [
             threading.Thread(target=load, args=(group,)) for group in groups
         ]
         for thread in threads:
             thread.start()
 
-        # Let load build up, then SIGKILL the shard owning user 0 —
+        # Once load is flowing, SIGKILL the shard owning user 0 —
         # mid-stream, no warning, no log seal.
-        time.sleep(0.6)
+        try:
+            warmed_up.wait(timeout=120.0)
+        except threading.BrokenBarrierError:
+            pytest.fail(f"load failed before the kill: {errors}")
         victim = supervisor.ring.owner(users[0])
         injector = ProcessFaultInjector()
         injector.kill(supervisor.pid_of(victim))
         assert injector.kills, "the kill never landed"
+        alive = sum(thread.is_alive() for thread in threads)
+        assert alive == len(threads), (
+            f"only {alive}/{len(threads)} load threads outlived the kill"
+        )
 
         for thread in threads:
             thread.join(timeout=300.0)
@@ -127,17 +141,23 @@ class TestShardKillUnderLoad:
         assert errors == [], f"client requests failed: {errors}"
 
         # The supervisor restarted the victim via WAL replay and only
-        # readmitted it after the fingerprint check passed.
+        # readmitted it after the fingerprint check passed. The monitor
+        # may not have seen the death yet while the state still reads
+        # RUNNING, so wait for the restart itself.
         deadline = time.monotonic() + 120.0
         while time.monotonic() < deadline:
-            if supervisor.states()[victim] == RUNNING:
+            if (
+                supervisor.restart_counts()[victim] >= 1
+                and supervisor.states()[victim] == RUNNING
+            ):
                 break
             time.sleep(0.1)
         assert supervisor.states()[victim] == RUNNING
         assert supervisor.restart_counts()[victim] >= 1
 
         # Degraded reads were served during the outage and counted.
-        merged = ServingClient(router.url).metrics()
+        with ServingClient(router.url) as client:
+            merged = client.metrics()
         router_counters = merged["router"]["counters"]
         if degraded_seen.is_set():
             assert degraded_count[0] > 0
@@ -146,18 +166,18 @@ class TestShardKillUnderLoad:
         # Exactly-once effects: every user's live state is precisely its
         # acknowledged write stream — the retries neither lost nor
         # double-applied an event.
-        verify = ServingClient(router.url, timeout=60.0)
-        for user in users:
-            state = verify.state(user)
-            assert state["live_events"] == len(acked[user]), (
-                f"user {user}: {state['live_events']} committed vs "
-                f"{len(acked[user])} acknowledged"
-            )
+        with ServingClient(router.url, timeout=60.0) as verify:
+            for user in users:
+                state = verify.state(user)
+                assert state["live_events"] == len(acked[user]), (
+                    f"user {user}: {state['live_events']} committed vs "
+                    f"{len(acked[user])} acknowledged"
+                )
 
-        # End-to-end bit-identity: fingerprints through the router match
-        # an independent readonly replay of each shard's WAL.
-        for shard in supervisor.shard_names():
-            for user, expected in supervisor.expected_fingerprints(
-                shard
-            ).items():
-                assert verify.state(user)["fingerprint"] == expected
+            # End-to-end bit-identity: fingerprints through the router
+            # match an independent readonly replay of each shard's WAL.
+            for shard in supervisor.shard_names():
+                for user, expected in supervisor.expected_fingerprints(
+                    shard
+                ).items():
+                    assert verify.state(user)["fingerprint"] == expected

@@ -12,6 +12,8 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import socket
+import threading
 import time
 import urllib.request
 
@@ -23,6 +25,7 @@ from repro.config import WindowConfig
 from repro.data.split import SplitDataset
 from repro.exceptions import ServingError, ServingUnavailableError
 from repro.models.recency import RecencyRecommender
+from repro.resilience.faults import ProcessFaultInjector
 from repro.serving import (
     EventLog,
     RecommendServer,
@@ -30,7 +33,7 @@ from repro.serving import (
     ServingClient,
     service_for_split,
 )
-from repro.serving.server import MAX_BODY_BYTES
+from repro.serving.wire import MAX_BODY_BYTES, MAX_HEADER_LINES, MAX_LINE_BYTES
 
 
 @pytest.fixture()
@@ -41,7 +44,8 @@ def served(gowalla_split: SplitDataset):
     service = service_for_split(model, gowalla_split, config=config)
     server = RecommendServer(service, port=0).start()
     try:
-        yield server, ServingClient(server.url), gowalla_split
+        with ServingClient(server.url) as client:
+            yield server, client, gowalla_split
     finally:
         server.close()
 
@@ -57,7 +61,8 @@ def served_with_log(gowalla_split: SplitDataset, tmp_path):
     )
     server = RecommendServer(service, port=0).start()
     try:
-        yield server, ServingClient(server.url), gowalla_split
+        with ServingClient(server.url) as client:
+            yield server, client, gowalla_split
     finally:
         server.close()
 
@@ -148,6 +153,7 @@ class TestErrorMapping:
         )
         with pytest.raises(urllib.error.HTTPError) as exc_info:
             urllib.request.urlopen(request, timeout=10)
+        exc_info.value.close()
         assert exc_info.value.code == 400
 
     def test_malformed_json_is_400(self, served) -> None:
@@ -160,6 +166,7 @@ class TestErrorMapping:
         )
         with pytest.raises(urllib.error.HTTPError) as exc_info:
             urllib.request.urlopen(request, timeout=10)
+        exc_info.value.close()
         assert exc_info.value.code == 400
 
     def test_unreachable_server(self) -> None:
@@ -190,8 +197,9 @@ class TestIdempotency:
         user, items = 1, [3, 5, 3]
         for item in items:
             client.ingest(user, item)
-        fresh = ServingClient(server.url)  # no memory of the first client
-        position = fresh.ingest(user, 7)
+        # A client with no memory of the first one.
+        with ServingClient(server.url) as fresh:
+            position = fresh.ingest(user, 7)
         assert position == split.train_boundary(user) + len(items)
         assert client.state(user)["live_events"] == len(items) + 1
 
@@ -241,24 +249,24 @@ class TestAvailabilityAndTimeouts:
         """A hung server trips the caller's timeout, not the default."""
         server, client, _ = served
         client.hang(1.2)
-        tight = ServingClient(server.url, timeout=30.0, retries=0)
-        start = time.monotonic()
-        with pytest.raises(ServingUnavailableError):
-            tight.recommend(0, timeout=0.3)
-        elapsed = time.monotonic() - start
-        assert elapsed < 1.0, f"timeout ignored: waited {elapsed:.2f}s"
-        # Once the hang window closes the server answers again.
-        time.sleep(1.2)
-        assert tight.health()
+        with ServingClient(server.url, timeout=30.0, retries=0) as tight:
+            start = time.monotonic()
+            with pytest.raises(ServingUnavailableError):
+                tight.recommend(0, timeout=0.3)
+            elapsed = time.monotonic() - start
+            assert elapsed < 1.0, f"timeout ignored: waited {elapsed:.2f}s"
+            # Once the hang window closes the server answers again.
+            time.sleep(1.2)
+            assert tight.health()
 
     def test_retries_eventually_reach_recovering_server(self, served) -> None:
         """Bounded backoff rides out an outage shorter than the budget."""
-        server, _, _ = served
-        hangy = ServingClient(
+        server, client, _ = served
+        with ServingClient(
             server.url, timeout=0.2, retries=8, backoff_s=0.1, max_backoff_s=0.4
-        )
-        ServingClient(server.url).hang(0.8)
-        reply = hangy.recommend(0, k=3)  # first attempts time out, later wins
+        ) as hangy:
+            client.hang(0.8)
+            reply = hangy.recommend(0, k=3)  # early attempts time out
         assert reply["degraded"] is False
 
 
@@ -297,8 +305,9 @@ class TestLifecycle:
             service_for_split(model, gowalla_split, config=config), port=0
         ).start() as two:
             assert one.address != two.address
-            assert ServingClient(one.url).health()
-            assert ServingClient(two.url).health()
+            for server in (one, two):
+                with ServingClient(server.url) as client:
+                    assert client.health()
 
 
 class TestPersistentConnections:
@@ -328,10 +337,10 @@ class TestPersistentConnections:
         accepted = count_connections(server)
         bad_requests = [
             ("/nope", {"user": 0}, "HTTP 404"),  # unknown POST route
-            (  # the server may reject before the client finished sending
+            (  # refused by the client before a byte is sent
                 "/events",
                 {"user": 0, "item": 1, "pad": "x" * MAX_BODY_BYTES},
-                "too large|Broken pipe|reset",
+                "too large",
             ),
             ("/events", {"user": 0}, "missing required field"),
         ]
@@ -340,9 +349,10 @@ class TestPersistentConnections:
                 client._request(path, payload, retries=0)
             assert client.recommend(0, k=3)["user"] == 0
         # Every error reply closed its connection, and the good request
-        # after it reconnected: one connection per bad request, plus the
-        # one the last good request left open.
-        assert len(accepted) == len(bad_requests) + 1
+        # after it reconnected: one connection per bad request the server
+        # answered (all but the oversized one, which never left the
+        # client), plus the one the last good request left open.
+        assert len(accepted) == len(bad_requests)
 
     @pytest.mark.parametrize(
         "method, path, length, status, message",
@@ -408,3 +418,317 @@ class TestPersistentConnections:
         assert len(accepted) == 2  # the child had to connect on its own
         assert client.health()
         assert len(accepted) == 2  # and the parent's socket still works
+
+
+class TestClientLifetimes:
+    def test_fault_injector_closes_its_client(
+        self, served, opened_clients
+    ) -> None:
+        server, client, _ = served
+        ProcessFaultInjector().hang(server.url, 0.0)
+        assert len(opened_clients) == 1
+        assert opened_clients[0].closed
+        assert client.health()
+
+
+class TestBodyLimit:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"user": 0, "item": 1, "pad": "x" * MAX_BODY_BYTES},
+            # A seq makes /events retryable; the refusal still is not.
+            {"user": 0, "item": 1, "seq": 0, "pad": "x" * MAX_BODY_BYTES},
+        ],
+    )
+    def test_oversized_payload_is_refused_before_sending(
+        self, served, payload
+    ) -> None:
+        server, client, _ = served
+        accepted = count_connections(server)
+        with pytest.raises(ServingError, match="too large") as exc_info:
+            client._request("/events", payload, retries=5)
+        assert not isinstance(exc_info.value, ServingUnavailableError)
+        assert accepted == []  # not a byte sent, no attempt retried
+        assert client.state(0)["live_events"] == 0
+
+    def test_body_at_the_limit_goes_through(self, served) -> None:
+        """Client and server share the limit: a body of exactly
+        ``MAX_BODY_BYTES`` is sent and taken, one byte more is not."""
+        _, client, _ = served
+        base = len(json.dumps({"user": 0, "item": 1, "pad": ""}))
+        payload = {"user": 0, "item": 1, "pad": "x" * (MAX_BODY_BYTES - base)}
+        assert client._request("/events", payload)["position"] >= 0
+        payload["pad"] += "x"
+        with pytest.raises(ServingError, match="too large"):
+            client._request("/events", payload)
+
+
+def raw_exchange(server: RecommendServer, data: bytes, send=None) -> bytes:
+    """Send ``data`` on a fresh socket; return all the server wrote
+    before closing it. ``send`` (optional) runs after the first reply
+    byte arrives, with the socket, to send more."""
+    with socket.create_connection(server.address, timeout=10) as sock:
+        sock.sendall(data)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+            if send is not None:
+                send(sock)
+                send = None
+
+
+def split_replies(stream: bytes) -> list:
+    """Cut a server's byte stream into ``(status, headers, body)``."""
+    replies = []
+    while stream:
+        head, _, stream = stream.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = {}
+        for line in lines:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = int(headers.get("content-length", 0))
+        replies.append((int(status_line.split()[1]), headers, stream[:length]))
+        stream = stream[length:]
+    return replies
+
+
+def post(body: bytes, *headers: str, version: str = "HTTP/1.1") -> bytes:
+    head = "".join(f"{header}\r\n" for header in headers)
+    return f"POST /events {version}\r\n{head}\r\n".encode() + body
+
+
+EVENT = b'{"user": 0, "item": 1}'
+
+
+class TestServerCodec:
+    """Raw-socket requests against the server's HTTP/1.1 parser."""
+
+    def test_lower_case_content_length(self, served) -> None:
+        server, _, _ = served
+        stream = raw_exchange(
+            server,
+            post(EVENT, f"content-length: {len(EVENT)}")
+            + b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        )
+        (event, event_headers, body), (health, headers, _) = split_replies(
+            stream
+        )
+        assert event == 200 and json.loads(body)["item"] == 1
+        assert "connection" not in event_headers  # kept alive
+        assert health == 200 and headers["connection"] == "close"
+
+    @pytest.mark.parametrize(
+        "headers, message",
+        [
+            (
+                (f"Content-Length: {len(EVENT)}", "Content-Length: 7"),
+                b"conflicting Content-Length",
+            ),
+            (
+                (f"Content-Length: {len(EVENT)}", "Transfer-Encoding: chunked"),
+                b"Transfer-Encoding",
+            ),
+            (("Content-Length: -1",), b"malformed Content-Length"),
+            (("Host 127.0.0.1",), b"without a colon"),
+        ],
+    )
+    def test_bad_framing_is_400_and_closes(
+        self, served, headers, message
+    ) -> None:
+        server, client, _ = served
+        # A second request after the bad one is never answered: the
+        # connection closes after the 400.
+        stream = raw_exchange(
+            server, post(EVENT, *headers) + b"GET /healthz HTTP/1.1\r\n\r\n"
+        )
+        [(status, reply_headers, body)] = split_replies(stream)
+        assert status == 400
+        assert reply_headers["connection"] == "close"
+        assert message in body
+        assert client.state(0)["live_events"] == 0
+
+    def test_header_line_limit(self, served) -> None:
+        server, _, _ = served
+        fields = [f"X-Filler-{n}: {n}" for n in range(MAX_HEADER_LINES - 1)]
+        at_limit = post(EVENT, f"Content-Length: {len(EVENT)}", *fields)
+        over = post(EVENT, f"Content-Length: {len(EVENT)}", "X-One: 1", *fields)
+        at_limit += b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+        assert [r[0] for r in split_replies(raw_exchange(server, at_limit))] == [
+            200,
+            200,
+        ]
+        [(status, headers, _)] = split_replies(raw_exchange(server, over))
+        assert status == 431 and headers["connection"] == "close"
+
+    def test_header_line_length_limit(self, served) -> None:
+        server, _, _ = served
+        request = post(EVENT, "X-Long: " + "x" * MAX_LINE_BYTES)
+        [(status, _, _)] = split_replies(raw_exchange(server, request))
+        assert status == 431
+
+    @pytest.mark.parametrize(
+        "line, status",
+        [
+            (b"GET /healthz HTTP/2.0", 505),
+            (b"GET /healthz HTTP/1.2", 505),
+            (b"GET /healthz HTTQ/1.1", 400),
+            (b"GET /healthz", 400),
+            (b"GET /healthz HTTP/1.1 extra", 400),
+        ],
+    )
+    def test_request_line_is_strict(self, served, line, status) -> None:
+        server, _, _ = served
+        [(answered, headers, body)] = split_replies(
+            raw_exchange(server, line + b"\r\n\r\n")
+        )
+        assert answered == status and headers["connection"] == "close"
+        assert "error" in json.loads(body)
+
+    def test_http_1_0_is_answered_then_closed(self, served) -> None:
+        server, _, _ = served
+        stream = raw_exchange(
+            server,
+            b"GET /healthz HTTP/1.0\r\n\r\nGET /healthz HTTP/1.0\r\n\r\n",
+        )
+        [(status, headers, body)] = split_replies(stream)
+        assert status == 200 and json.loads(body) == {"status": "ok"}
+        assert headers["connection"] == "close"
+
+    def test_connection_close_is_honoured(self, served) -> None:
+        server, _, _ = served
+        stream = raw_exchange(
+            server,
+            post(EVENT, f"Content-Length: {len(EVENT)}", "Connection: close")
+            + b"GET /healthz HTTP/1.1\r\n\r\n",
+        )
+        [(status, headers, _)] = split_replies(stream)
+        assert status == 200 and headers["connection"] == "close"
+
+    def test_expect_100_continue(self, served) -> None:
+        server, _, _ = served
+        stream = raw_exchange(
+            server,
+            post(
+                b"",
+                f"Content-Length: {len(EVENT)}",
+                "Expect: 100-continue",
+                "Connection: close",
+            ),
+            send=lambda sock: sock.sendall(EVENT),
+        )
+        (interim, _, _), (status, _, body) = split_replies(stream)
+        assert interim == 100
+        assert status == 200 and json.loads(body)["position"] >= 0
+
+
+class FakeServer:
+    """A socket server answering every request with ``reply``.
+
+    Counts the connections it accepts. ``drip`` writes the reply one
+    byte at a time; ``hang_up`` closes the connection after it.
+    """
+
+    def __init__(
+        self, reply: bytes, drip: bool = False, hang_up: bool = False
+    ) -> None:
+        self.reply, self.drip, self.hang_up = reply, drip, hang_up
+        self.accepted = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.url = "http://127.0.0.1:%d" % self._listener.getsockname()[1]
+        self._threads = [threading.Thread(target=self._accept)]
+        self._threads[0].start()
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                connection, _ = self._listener.accept()
+            except OSError:  # listener closed
+                return
+            self.accepted += 1
+            thread = threading.Thread(target=self._answer, args=(connection,))
+            self._threads.append(thread)
+            thread.start()
+
+    def _answer(self, connection: socket.socket) -> None:
+        connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with connection:
+            pending = b""
+            while True:
+                while b"\r\n\r\n" not in pending:  # our GETs carry no body
+                    chunk = connection.recv(65536)
+                    if not chunk:
+                        return
+                    pending += chunk
+                _, _, pending = pending.partition(b"\r\n\r\n")
+                if self.drip:
+                    for byte in self.reply:
+                        connection.sendall(bytes([byte]))
+                else:
+                    connection.sendall(self.reply)
+                if self.hang_up:
+                    return
+
+    def close(self) -> None:
+        # shutdown wakes the blocked accept; joining every thread then
+        # proves no fake-server connection outlived the test.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._listener.close()
+        for thread in self._threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+
+OK_REPLY = (
+    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+    b'Content-Length: 16\r\n\r\n{"status": "ok"}'
+)
+
+
+class TestClientCodec:
+    """The client's reply parser against scripted servers."""
+
+    def fake(self, reply: bytes, **options) -> FakeServer:
+        server = FakeServer(reply, **options)
+        self._fakes.append(server)
+        return server
+
+    @pytest.fixture(autouse=True)
+    def _close_fakes(self):
+        self._fakes = []
+        yield
+        for server in self._fakes:
+            server.close()
+
+    def test_reply_written_byte_by_byte(self) -> None:
+        server = self.fake(OK_REPLY, drip=True)
+        with ServingClient(server.url, timeout=10, retries=0) as client:
+            for _ in range(2):
+                assert client._request("/healthz") == {"status": "ok"}
+        assert server.accepted == 1  # and the connection was kept
+
+    def test_reply_without_content_length_is_torn(self) -> None:
+        reply = b'HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n{"status": "ok"}'
+        server = self.fake(reply, hang_up=True)
+        with ServingClient(server.url, timeout=10, retries=0) as client:
+            with pytest.raises(ServingUnavailableError, match="Content-Length"):
+                client._request("/healthz")
+
+    def test_truncated_body_is_torn(self) -> None:
+        server = self.fake(OK_REPLY[:-4], hang_up=True)
+        with ServingClient(server.url, timeout=10, retries=0) as client:
+            with pytest.raises(ServingUnavailableError, match="closed"):
+                client._request("/healthz")
+
+    def test_stray_bytes_leave_the_connection_unpooled(self) -> None:
+        server = self.fake(OK_REPLY + b"HTTP/1.1 200 OK\r\n")
+        with ServingClient(server.url, timeout=10, retries=0) as client:
+            for _ in range(3):
+                assert client._request("/healthz") == {"status": "ok"}
+        assert server.accepted == 3
