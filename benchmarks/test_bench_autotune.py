@@ -10,9 +10,9 @@ TS-PPR heavy-window regime as the serving bench (dense targets, |W| =
   set, so the argmin cannot lose to it), re-proven here by measurement
   on a real workload rather than by construction.
 * **Separation** — the *worst* predicted in-range candidate (the cost
-  model's bottom pick, typically the 10ms-straggler-wait micro-batch
-  corner), measured under the same schedule, must be >= 1.5x the tuned
-  p99. A tuner that cannot separate from the worst corner of its own
+  model's bottom pick, typically the growth-gated admission wait on
+  with the largest row bound), measured under the same schedule,
+  must be >= 1.5x the tuned p99. A tuner that cannot separate from the worst corner of its own
   search space is ranking noise.
 * **Model agreement** — the measured-best candidate is one the cost
   model put in its top-k. The analytic model exists to spend the
@@ -43,7 +43,7 @@ BENCH_WINDOW = WindowConfig(window_size=250, min_gap=10)
 
 #: Dense-target generator (the serving bench's recipe at 3/4 length):
 #: long sequences make the per-request session walk the dominant cost,
-#: which is the regime where batching-mode knobs actually matter.
+#: which is the regime where the scoring-loop knobs actually matter.
 BENCH_SYNTH = SyntheticConfig(
     name="autotune-bench",
     n_users=4,
@@ -59,9 +59,8 @@ BENCH_SYNTH = SyntheticConfig(
 )
 
 #: The serving bench's calm-heavy bursty schedule: calm Poisson singles
-#: at 400 Hz punctuated by 16-request bursts. Calm-heavy is the shape
-#: that separates batching modes — straggler waits are paid per calm
-#:  single, continuous admission pays none.
+#: at 400 Hz punctuated by 16-request bursts: calm singles price the
+#: admission wait, bursts price the kernel-boundary granularity.
 BURSTY = dict(calm_rate_hz=400.0, burst_size=16, calm_between=32)
 N_EVENTS = 560
 SCHEDULE_SEED = 808

@@ -1,4 +1,4 @@
-"""Bench: serving throughput and bursty-arrival tail latency by mode.
+"""Bench: serving throughput and bursty-arrival tail latency.
 
 Two guards over the same heavy-window TS-PPR workload (|W| = 250, dense
 targets, large candidate sets — the engine bench's regime where the
@@ -6,25 +6,22 @@ session walk dominates):
 
 * **Flood throughput** — the held-out stream is submitted
   asynchronously (ingest + submit without waiting) so the queue backs
-  up, and three services race: **naive** (``max_batch=1``),
-  **micro-batched** (``max_batch=64``, 2ms straggler wait), and
-  **in-flight** (continuously fed packed batch). Both batched modes
-  must reach **>= 3x naive throughput**, and all three must return
-  answers identical to the offline protocol's — batching is a latency
-  decision, never an accuracy one.
-* **Bursty tail** — the *same* seeded bursty arrival schedule (calm
-  Poisson singles punctuated by simultaneous bursts, from the shared
-  ``loadgen`` fixture) is replayed against micro-batch and in-flight
-  services. Micro-batching pays its straggler wait on every calm
-  single and drain-then-refill head-of-line time on every burst; the
-  in-flight loop admits at kernel boundaries and waits for nothing.
-  The guard requires in-flight p50 **and** p99 below micro-batch's at
-  equal-or-better completed throughput.
+  up, and two services race: **naive** (``check_interval=1``: one
+  query per model call, so every request pays its own session walk)
+  and **in-flight** (the default loop, up to 16 queries of one user
+  per call). The in-flight loop must reach **>= 3x naive
+  throughput**, and both must return answers identical to the offline
+  protocol's — batching is a latency decision, never an accuracy one.
+* **Bursty tail** — a seeded bursty arrival schedule (calm Poisson
+  singles punctuated by simultaneous bursts, from the shared
+  ``loadgen`` fixture) is replayed against the default service; its
+  answers must match the offline protocol's, and its p50/p95/p99
+  (including queue time) are recorded.
 
-Throughput, p50/p95/p99 (including queue time), and the speedups are
-recorded to ``BENCH_serving.json`` via the session-scoped
-``bench_record`` fixture; CI's bench-smoke job diffs the in-flight
-bursty p99 against the committed baseline.
+Throughput, percentiles, and the speedup are recorded to
+``BENCH_serving.json`` via the session-scoped ``bench_record`` fixture;
+CI's bench-smoke job diffs the bursty p99 against the committed
+baseline.
 """
 
 from __future__ import annotations
@@ -69,16 +66,9 @@ REPS = 2
 TAIL_REPS = 4
 
 #: Bursty-schedule shape: calm Poisson singles at 400 Hz, a 16-request
-#: burst after every 32 calm arrivals. The population is calm-heavy and
-#: kernels are short relative to the micro-batcher's fixed 2ms
-#: straggler wait, so the wait is the dominant per-request constant:
-#: every calm single pays it in full, and singles colliding with a
-#: burst drain stack it on top of head-of-line time. The in-flight loop
-#: pays neither — requests admit at the next kernel boundary — which is
-#: where continuous admission separates from drain-then-refill at every
-#: percentile. (Burst-heavy schedules instead make both modes
-#: scoring-bound on the same per-user kernels and their tails
-#: converge.)
+#: burst after every 32 calm arrivals. Calm singles each start a busy
+#: period of their own and measure admission plus one short kernel (the
+#: p50); a burst drains behind its own kernel boundaries (the tail).
 BURSTY = dict(calm_rate_hz=400.0, burst_size=16, calm_between=32)
 BURSTY_EVENTS = 840
 
@@ -128,7 +118,7 @@ def _drive(model, split, stream, arrival_times=None, **config_overrides):
     waiting + ingest as fast as the loop runs, then drain — the maximum-
     throughput shape. With ``arrival_times`` (one offset per event, from
     the shared load generator) each event waits for its scheduled
-    arrival, so every mode sees the identical arrival process.
+    arrival, so every rep sees the identical arrival process.
 
     Returns (elapsed seconds, per-user answer lists, per-request
     latencies in seconds).
@@ -187,65 +177,52 @@ def _best_drive(model, split, stream, arrival_times=None, **overrides):
     return best
 
 
-def _paired_tail_drives(model, split, stream, arrival_times, configs):
-    """Best of ``TAIL_REPS`` by p99 per config — the paced-tail metric.
+def _best_tail_drive(model, split, stream, arrival_times):
+    """Best of ``TAIL_REPS`` by p99 — the paced-tail metric.
 
     Paced runs all take the same wall-clock (the schedule dictates it),
     so selecting by elapsed time would pick a random rep; selecting by
     the guarded percentile suppresses scheduler noise — a single GC or
     OS stall inside one burst elevates ~20 request latencies and owns
-    that rep's p99. The configs are *interleaved* within each rep
-    (micro, in-flight, micro, in-flight, ...) so slow drift in machine
-    load lands on both modes instead of on whichever ran last. Answers
-    must agree across reps (and across modes, asserted by the caller).
+    that rep's p99. Answers must agree across reps.
 
-    Returns ``{name: (elapsed, answers, latencies)}``.
+    Returns ``(elapsed, answers, latencies)``.
     """
-    best = {}
+    best = None
     for _ in range(TAIL_REPS):
-        for name, overrides in configs:
-            elapsed, answers, latencies = _drive(
-                model, split, stream, arrival_times, **overrides
-            )
-            p99 = np.percentile(np.asarray(latencies, dtype=np.float64), 99)
-            prior = best.get(name)
-            if prior is not None:
-                assert answers == prior[1], "answers changed between reps"
-            if prior is None or p99 < prior[3]:
-                best[name] = (elapsed, answers, latencies, p99)
-    return {name: run[:3] for name, run in best.items()}
+        elapsed, answers, latencies = _drive(
+            model, split, stream, arrival_times
+        )
+        p99 = np.percentile(np.asarray(latencies, dtype=np.float64), 99)
+        if best is not None:
+            assert answers == best[1], "answers changed between reps"
+        if best is None or p99 < best[3]:
+            best = (elapsed, answers, latencies, p99)
+    return best[:3]
 
 
 def test_bench_serving_speedup(bench_split, bench_model, bench_record, loadgen):
     stream = _interleaved_stream(bench_split)
 
     naive_s, naive_answers, naive_lat = _best_drive(
-        bench_model, bench_split, stream,
-        batching="microbatch", max_batch=1, max_wait_ms=0.0,
-    )
-    micro_s, micro_answers, micro_lat = _best_drive(
-        bench_model, bench_split, stream,
-        batching="microbatch", max_batch=64, max_wait_ms=2.0,
+        bench_model, bench_split, stream, check_interval=1,
     )
     inflight_s, inflight_answers, inflight_lat = _best_drive(
-        bench_model, bench_split, stream, batching="inflight",
+        bench_model, bench_split, stream,
     )
 
     # Accuracy first: batching must never change a single answer.
     reference = _offline_reference(bench_model, bench_split)
-    assert micro_answers == naive_answers
-    assert inflight_answers == naive_answers
+    assert naive_answers == reference
     assert inflight_answers == reference
 
     n_requests = len(naive_lat)
-    assert n_requests == len(micro_lat) == len(inflight_lat) > 0
-    micro_speedup = naive_s / micro_s
+    assert n_requests == len(inflight_lat) > 0
     inflight_speedup = naive_s / inflight_s
     report = (
         f"serving: {n_requests} requests over {len(stream)} events; "
         f"naive {naive_s:.3f}s ({n_requests / naive_s:.1f} req/s), "
-        f"micro-batched {micro_s:.3f}s ({n_requests / micro_s:.1f} req/s, "
-        f"{micro_speedup:.2f}x), in-flight {inflight_s:.3f}s "
+        f"in-flight {inflight_s:.3f}s "
         f"({n_requests / inflight_s:.1f} req/s, {inflight_speedup:.2f}x)"
     )
     print()
@@ -253,7 +230,6 @@ def test_bench_serving_speedup(bench_split, bench_model, bench_record, loadgen):
 
     for name, elapsed, latencies in (
         ("naive", naive_s, naive_lat),
-        ("micro_batched", micro_s, micro_lat),
         ("inflight", inflight_s, inflight_lat),
     ):
         bench_record(
@@ -268,67 +244,51 @@ def test_bench_serving_speedup(bench_split, bench_model, bench_record, loadgen):
     bench_record(
         "serving",
         "tsppr_speedup",
-        micro_batched=round(micro_speedup, 3),
         inflight=round(inflight_speedup, 3),
         window_size=BENCH_WINDOW.window_size,
         min_gap=BENCH_WINDOW.min_gap,
-        max_batch=64,
-        max_wait_ms=2.0,
+        naive_check_interval=1,
     )
 
-    # The headline guard: coalescing into per-user recommend_batch calls
-    # must amortize the session walk by a wide margin — in both modes.
-    assert micro_speedup >= 3.0, report
+    # The headline guard: coalescing a user's queries into one
+    # recommend_batch call must amortize the session walk by a wide
+    # margin over one query per call.
     assert inflight_speedup >= 3.0, report
 
 
 def test_bench_serving_bursty_tail(
     bench_split, bench_model, bench_record, loadgen
 ):
-    """p99 under bursty Poisson arrivals: in-flight must beat micro-batch."""
+    """Latency percentiles under bursty Poisson arrivals."""
     stream = _interleaved_stream(bench_split)[:BURSTY_EVENTS]
     arrivals = loadgen.bursty_times(len(stream), seed=808, **BURSTY)
 
-    runs = _paired_tail_drives(
-        bench_model, bench_split, stream, arrivals,
-        [
-            ("micro", dict(batching="microbatch", max_batch=64, max_wait_ms=2.0)),
-            ("inflight", dict(batching="inflight")),
-        ],
+    elapsed, answers, latencies = _best_tail_drive(
+        bench_model, bench_split, stream, arrivals
     )
-    micro_s, micro_answers, micro_lat = runs["micro"]
-    inflight_s, inflight_answers, inflight_lat = runs["inflight"]
 
-    assert micro_answers == inflight_answers
-    n_requests = len(micro_lat)
-    assert n_requests == len(inflight_lat) > 50
+    # The paced prefix answers each user's first targets: a prefix of
+    # the offline protocol's answer list.
+    reference = _offline_reference(bench_model, bench_split)
+    for user, lists in answers.items():
+        assert lists == reference[user][: len(lists)]
+    n_requests = len(latencies)
+    assert n_requests > 50
 
-    micro = loadgen.percentiles_ms(micro_lat)
-    inflight = loadgen.percentiles_ms(inflight_lat)
-    micro_rps = n_requests / micro_s
-    inflight_rps = n_requests / inflight_s
+    inflight = loadgen.percentiles_ms(latencies)
+    inflight_rps = n_requests / elapsed
     report = (
         f"bursty tail: {n_requests} requests over {len(stream)} paced "
-        f"events; micro-batch p50 {micro['p50_ms']}ms / "
-        f"p99 {micro['p99_ms']}ms at {micro_rps:.1f} req/s, in-flight "
-        f"p50 {inflight['p50_ms']}ms / p99 {inflight['p99_ms']}ms at "
-        f"{inflight_rps:.1f} req/s"
+        f"events; in-flight p50 {inflight['p50_ms']}ms / "
+        f"p99 {inflight['p99_ms']}ms at {inflight_rps:.1f} req/s"
     )
     print()
     print(report)
 
     bench_record(
         "serving",
-        "tsppr_bursty_microbatch",
-        elapsed_s=round(micro_s, 3),
-        requests=n_requests,
-        requests_per_s=round(micro_rps, 1),
-        **micro,
-    )
-    bench_record(
-        "serving",
         "tsppr_bursty_inflight",
-        elapsed_s=round(inflight_s, 3),
+        elapsed_s=round(elapsed, 3),
         requests=n_requests,
         requests_per_s=round(inflight_rps, 1),
         **inflight,
@@ -337,15 +297,6 @@ def test_bench_serving_bursty_tail(
         "serving",
         "tsppr_bursty_schedule",
         events=len(stream),
-        p99_ratio=round(inflight["p99_ms"] / micro["p99_ms"], 3),
         seed=808,
         **BURSTY,
     )
-
-    # The tentpole guard: at the same arrival schedule (equal offered
-    # load, equal-or-better completed throughput), continuous admission
-    # must cut both the typical latency — calm singles skip the
-    # straggler wait entirely — and the bursty tail.
-    assert inflight_rps >= 0.9 * micro_rps, report
-    assert inflight["p50_ms"] < micro["p50_ms"], report
-    assert inflight["p99_ms"] < micro["p99_ms"], report

@@ -2,7 +2,7 @@
 
 A worker is a full single-node serving stack — private
 :class:`~repro.serving.state.SessionStore`, private write-ahead
-:class:`~repro.serving.events.EventLog`, micro-batched
+:class:`~repro.serving.events.EventLog`, in-flight batched
 :class:`~repro.serving.service.RecommendService`, stdlib HTTP listener —
 owning the users the ring assigns to it. Workers are deliberately
 ring-agnostic: any worker *can* serve any user (its base histories cover

@@ -15,9 +15,6 @@ path:
 * :class:`~repro.engine.features.SessionFeatureMatrix` — vectorized
   construction of the behavioural feature matrix ``f_uvt`` from session
   state, reproducing each extractor's scalar arithmetic exactly.
-* :class:`~repro.engine.packed.PackedCandidateBatch` — contiguous
-  cu_seqlens-style candidate storage for the serving layer's
-  continuously batched (in-flight) scoring loop.
 
 Models consume these through
 :meth:`repro.models.base.Recommender.score_batch`; the evaluation
@@ -32,10 +29,8 @@ from repro.engine.session import (
     fingerprint_state,
 )
 from repro.engine.features import SessionFeatureMatrix, fast_fillers
-from repro.engine.packed import PackedCandidateBatch
 
 __all__ = [
-    "PackedCandidateBatch",
     "Query",
     "ScoringSession",
     "SessionFeatureMatrix",

@@ -28,10 +28,6 @@ class FeatureError(ReproError):
     """A behavioural feature is misconfigured or queried out of range."""
 
 
-class EngineError(ReproError):
-    """The batch-scoring engine was driven through an invalid transition."""
-
-
 class StoreError(ReproError):
     """A history store was misused or its arena layout is inconsistent."""
 

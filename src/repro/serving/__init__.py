@@ -1,4 +1,4 @@
-"""The online serving layer: live sessions, event log, micro-batched service.
+"""The online serving layer: live sessions, event log, in-flight batched service.
 
 Everything before this package was offline — train a model, walk a
 pre-loaded split, report accuracy. :mod:`repro.serving` turns the
@@ -13,10 +13,10 @@ now?", while staying bit-identical to the offline evaluation protocol:
 * :mod:`~repro.serving.events` — the crc-checked append-only
   :class:`EventLog`, written write-ahead so crash recovery is pure
   replay;
-* :mod:`~repro.serving.service` — :class:`RecommendService`, coalescing
-  concurrent requests into micro-batches over the engine's
-  ``score_batch`` kernels, with per-request deadlines degrading to the
-  Recency baseline;
+* :mod:`~repro.serving.service` — :class:`RecommendService`, admitting
+  concurrent requests into one continuously fed in-flight loop over
+  the engine's ``score_batch`` kernels, with per-request deadlines
+  degrading to the Recency baseline;
 * :mod:`~repro.serving.server` / :mod:`~repro.serving.client` —
   stdlib-only JSON over persistent HTTP/1.1 connections, framed by the
   strict codec in :mod:`~repro.serving.wire`;

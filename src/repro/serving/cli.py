@@ -57,11 +57,9 @@ MODEL_CHOICES = ("recency", "pop", "tsppr", "ppr", "fpmc")
 #: Dataset names accepted by ``--dataset``.
 DATASET_CHOICES = ("gowalla", "lastfm")
 
-#: Registry knobs ``serve`` exposes as flags (argparse dest == knob name).
-SERVE_KNOB_ARGS = (
-    "batching",
-    "max_batch",
-    "max_wait_ms",
+#: Registry knobs ``serve`` and ``cluster`` expose as flags (argparse
+#: dest == knob name).
+KNOB_ARGS = (
     "check_interval",
     "max_inflight_rows",
     "admission_wait_ms",
@@ -70,11 +68,6 @@ SERVE_KNOB_ARGS = (
     "online",
     "online_lr",
     "online_batch",
-)
-
-#: Registry knobs ``cluster`` exposes (no micro-batch sizing flags).
-CLUSTER_KNOB_ARGS = tuple(
-    name for name in SERVE_KNOB_ARGS if name not in ("max_batch", "max_wait_ms")
 )
 
 
@@ -213,14 +206,8 @@ def add_online_arguments(
         )
 
 
-def add_batching_arguments(parser: argparse.ArgumentParser) -> None:
+def add_scoring_arguments(parser: argparse.ArgumentParser) -> None:
     """Scoring-loop options shared by ``serve`` and ``cluster``."""
-    parser.add_argument(
-        "--batching",
-        default=None,
-        choices=knob("serving", "batching").choices,
-        help=_knob_flag_help("batching"),
-    )
     parser.add_argument(
         "--check-interval",
         type=int,
@@ -272,19 +259,7 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         help=_knob_flag_help("capacity"),
     )
     add_store_arguments(parser)
-    parser.add_argument(
-        "--max-batch",
-        type=int,
-        default=None,
-        help=_knob_flag_help("max_batch"),
-    )
-    parser.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=None,
-        help=_knob_flag_help("max_wait_ms"),
-    )
-    add_batching_arguments(parser)
+    add_scoring_arguments(parser)
     add_online_arguments(parser, include_checkpoint_dir=True)
     add_profile_argument(parser)
     parser.add_argument(
@@ -363,7 +338,7 @@ def add_cluster_arguments(parser: argparse.ArgumentParser) -> None:
         choices=("always", "interval", "never"),
         help="durability policy of every shard WAL",
     )
-    add_batching_arguments(parser)
+    add_scoring_arguments(parser)
     # Shards are checkpoint-less: a restarted worker catches its model
     # up by replaying its shard WAL, which recovery already guarantees
     # rebuilds session state — and now factors — bit-identically.
@@ -459,9 +434,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def service_config(
+    knobs: "dict[str, object]", deadline_ms: Optional[float], n_items: int
+) -> ServiceConfig:
+    """The :class:`ServiceConfig` a resolved serve/cluster knob set names."""
+    return ServiceConfig(
+        default_deadline_ms=deadline_ms,
+        check_interval=int(knobs["check_interval"]),  # type: ignore[arg-type]
+        max_inflight_rows=int(knobs["max_inflight_rows"]),  # type: ignore[arg-type]
+        admission_wait_ms=float(knobs["admission_wait_ms"]),  # type: ignore[arg-type]
+        n_items=n_items,
+        online=str(knobs["online"]),
+        online_lr=float(knobs["online_lr"]),  # type: ignore[arg-type]
+        online_batch=int(knobs["online_batch"]),  # type: ignore[arg-type]
+    )
+
+
 def run_serve(args: argparse.Namespace) -> int:
     """Build split + model + service and serve until interrupted."""
-    resolved = resolve_knob_args(args, "serving", SERVE_KNOB_ARGS)
+    resolved = resolve_knob_args(args, "serving", KNOB_ARGS)
     knobs = values_of(resolved)
     print(f"resolved serving knobs: {describe(resolved)}")
     split = build_split(args.dataset, args.seed)
@@ -469,19 +460,7 @@ def run_serve(args: argparse.Namespace) -> int:
     event_log = (
         EventLog.open(args.event_log) if args.event_log is not None else None
     )
-    config = ServiceConfig(
-        default_deadline_ms=args.deadline_ms,
-        batching=str(knobs["batching"]),
-        max_batch=int(knobs["max_batch"]),  # type: ignore[arg-type]
-        max_wait_ms=float(knobs["max_wait_ms"]),  # type: ignore[arg-type]
-        check_interval=int(knobs["check_interval"]),  # type: ignore[arg-type]
-        max_inflight_rows=int(knobs["max_inflight_rows"]),  # type: ignore[arg-type]
-        admission_wait_ms=float(knobs["admission_wait_ms"]),  # type: ignore[arg-type]
-        n_items=split.n_items,
-        online=str(knobs["online"]),
-        online_lr=float(knobs["online_lr"]),  # type: ignore[arg-type]
-        online_batch=int(knobs["online_batch"]),  # type: ignore[arg-type]
-    )
+    config = service_config(knobs, args.deadline_ms, split.n_items)
     service = service_for_split(
         model,
         split,
@@ -523,22 +502,12 @@ def run_cluster(args: argparse.Namespace) -> int:
     from repro.cluster.router import ClusterRouter
     from repro.cluster.supervisor import ShardSupervisor
 
-    resolved = resolve_knob_args(args, "cluster", CLUSTER_KNOB_ARGS)
+    resolved = resolve_knob_args(args, "cluster", KNOB_ARGS)
     knobs = values_of(resolved)
     print(f"resolved cluster knobs: {describe(resolved)}")
     split = build_split(args.dataset, args.seed)
     model = build_model(args.model, split, args.max_epochs, args.seed)
-    config = ServiceConfig(
-        default_deadline_ms=args.deadline_ms,
-        batching=str(knobs["batching"]),
-        check_interval=int(knobs["check_interval"]),  # type: ignore[arg-type]
-        max_inflight_rows=int(knobs["max_inflight_rows"]),  # type: ignore[arg-type]
-        admission_wait_ms=float(knobs["admission_wait_ms"]),  # type: ignore[arg-type]
-        n_items=split.n_items,
-        online=str(knobs["online"]),
-        online_lr=float(knobs["online_lr"]),  # type: ignore[arg-type]
-        online_batch=int(knobs["online_batch"]),  # type: ignore[arg-type]
-    )
+    config = service_config(knobs, args.deadline_ms, split.n_items)
     supervisor = ShardSupervisor(
         split,
         model,

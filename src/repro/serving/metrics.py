@@ -1,7 +1,7 @@
 """Serving observability: latency histograms and request counters.
 
 Everything the service measures lands here: request/event/fallback/error
-counters, micro-batch occupancy, and fixed-bucket latency histograms
+counters, scoring-loop occupancy, and fixed-bucket latency histograms
 with p50/p95/p99 estimates. The whole registry renders to one plain
 dict, which is what the HTTP ``/metrics`` endpoint returns and what
 :meth:`ServingMetrics.dump` writes (atomically, via the resilience
@@ -18,9 +18,9 @@ snapshots is associative and order-independent — the cluster router's
 ``/metrics`` aggregation via :func:`merge_snapshots` is exact, not an
 approximation.
 
-Besides durations, the in-flight batching loop samples *depth-like*
+Besides durations, the in-flight scoring loop samples *depth-like*
 integers at every kernel boundary — request-queue depth and
-packed-batch occupancy (live candidate rows). Those land in
+batch occupancy (candidate rows of the admitted requests). Those land in
 :class:`GaugeStats`: count/total/max in plain integers, so the same
 exact-merge guarantee holds for the ``gauges`` block of a snapshot.
 """

@@ -33,8 +33,8 @@ place of the stdlib's :mod:`email.parser` one, ``Content-Length``-only
 bodies, and every reply — protocol errors included — one JSON buffer
 written with a single ``send``.
 
-Handler threads funnel into the service's micro-batching queue, so
-concurrent HTTP clients are exactly what fills scoring batches. Request
+Handler threads funnel into the service's in-flight scoring queue, so
+concurrent HTTP clients are exactly what fills scoring kernels. Request
 logging goes through :mod:`repro.logging_utils` with the service's
 per-request ids — the default ``BaseHTTPRequestHandler`` stderr writes
 are disabled.

@@ -9,36 +9,25 @@ moving parts:
 * an optional :class:`~repro.serving.events.EventLog` written
   write-ahead (the event is durable *before* it mutates session state),
   which makes crash recovery a pure replay;
-* a scoring loop in one of two batching modes (``config.batching``):
+* one continuously fed **in-flight scoring loop**: submitted requests
+  are admitted into per-user queues, and the loop *admits newly
+  submitted requests and retires completed ones at every kernel
+  boundary* — after each chunk of at most ``check_interval`` queries
+  of one user, answered by one
+  :meth:`~repro.models.base.Recommender.recommend_batch` call. Users
+  take round-robin turns at the boundaries, so one user's burst cannot
+  stall every other queued request (head-of-line blocking), and there
+  is no fixed straggler wait: whatever is admitted is scored
+  immediately. Each chunk's ascending-``t`` queries ride one
+  session walk, the same amortization the offline engine exploits.
 
-  - ``"inflight"`` (default) — a **continuously fed packed batch**:
-    admitted requests live as rows of a
-    :class:`~repro.engine.packed.PackedCandidateBatch` (cu_seqlens-style
-    offsets over one contiguous candidate buffer), and the loop
-    *admits newly submitted requests and retires completed ones at
-    every kernel boundary* — after each chunk of at most
-    ``check_interval`` queries — instead of only between batches.
-    Users take round-robin turns at the boundaries, so one slow
-    multi-user batch can no longer stall every queued request
-    (head-of-line blocking), and there is no fixed straggler wait:
-    whatever is admitted is scored immediately.
-  - ``"microbatch"`` — the drain-then-refill reference loop: requests
-    are coalesced from the queue into batches (up to ``max_batch``,
-    waiting at most ``max_wait_ms`` for stragglers), grouped by user,
-    and fully drained before the next batch forms.
-
-  Both modes answer each user group with
-  :meth:`~repro.models.base.Recommender.recommend_batch` calls, so the
-  engine's session-walk kernels amortize window and feature state
-  across a user's requests exactly as they do offline.
-
-Correctness contract: a request's position ``t`` and candidate set are
-captured synchronously at submit time under the store lock, so whatever
-shape the scoring loop produces — micro-batches, or packed rows admitted
-and retired mid-batch — each request is answered from exactly the
-history before its ``t``: recommendations are bit-identical to the
-offline evaluation protocol, to the other batching mode, and independent
-of batching, concurrency, or timing.
+Correctness contract: a request's position ``t`` and candidate tuple
+are captured synchronously at submit time under the store lock, and the
+kernel scores from exactly that tuple. Whatever shape the loop produces
+— chunk sizes, admissions and retirements mid-batch, overflow order —
+each request is answered from exactly the history before its ``t``:
+recommendations are bit-identical to the offline evaluation protocol
+and independent of batching, concurrency, or timing.
 
 Deadlines degrade gracefully instead of failing: each request may carry
 a deadline; when the model misses it (or the request expired while
@@ -57,13 +46,12 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
 from repro.config import WindowConfig
 from repro.data.split import SplitDataset
-from repro.engine.packed import PackedCandidateBatch
 from repro.engine.query import Query
 from repro.exceptions import ServingError
 from repro.logging_utils import get_logger
@@ -91,23 +79,9 @@ class ServiceConfig:
         The RRC protocol parameters sessions are built with.
     default_k:
         Top-N size when a request does not specify one.
-    batching:
-        Scoring-loop mode: ``"inflight"`` (continuously fed packed
-        batch, the default) or ``"microbatch"`` (drain-then-refill
-        reference loop). Both produce bit-identical answers; they
-        differ only in latency shape under load.
-    max_batch:
-        Micro-batch mode only: maximum requests coalesced into one
-        scoring batch; ``max_batch=1`` disables micro-batching (the
-        naive one-request-at-a-time loop the benchmark compares
-        against).
-    max_wait_ms:
-        Micro-batch mode only: how long the batcher waits for
-        stragglers after the first request of a batch arrives — a
-        fixed cost paid by every batch.
     admission_wait_ms:
-        In-flight mode only: upper bound of an optional *growth-gated*
-        admission wait at the start of a busy period. When positive,
+        Upper bound of an optional *growth-gated* admission wait at the
+        start of a busy period. When positive,
         the loop keeps admitting while the backlog is still growing (a
         burst arriving over the submitters' milliseconds coalesces into
         full per-user kernels instead of fragmenting) but stops the
@@ -120,16 +94,16 @@ class ServiceConfig:
         arrival spread. Once kernels are running, boundaries admit
         continuously with no waiting in either setting.
     max_inflight_rows:
-        In-flight mode only: admission-control bound on the total
-        candidate rows of the packed batch. Requests beyond it wait in
-        the overflow queue (FIFO) until rows retire; a single oversized
-        request is still admitted when the batch is empty, so no
-        request can starve.
+        Admission-control bound on the total candidate rows of the
+        admitted requests. Requests beyond it wait in the overflow
+        queue (FIFO) until rows retire; a single oversized request is
+        still admitted when nothing is in flight, so no request can
+        starve.
     check_interval:
-        In-flight mode only: the kernel-boundary granularity — at most
-        this many queries are scored per ``recommend_batch`` call
-        before the loop re-checks admissions, retirements, and
-        deadlines.
+        The kernel-boundary granularity — at most this many queries
+        are scored per ``recommend_batch`` call before the loop
+        re-checks admissions, retirements, and deadlines;
+        ``check_interval=1`` scores one query per model call.
     manual_pump:
         When true, no background scoring thread is started; the loop
         only runs when :meth:`RecommendService.pump` (or
@@ -154,9 +128,6 @@ class ServiceConfig:
 
     window: WindowConfig = field(default_factory=WindowConfig)
     default_k: int = 10
-    batching: str = str(_KNOB_DEFAULTS["batching"])
-    max_batch: int = int(_KNOB_DEFAULTS["max_batch"])  # type: ignore[arg-type]
-    max_wait_ms: float = float(_KNOB_DEFAULTS["max_wait_ms"])  # type: ignore[arg-type]
     admission_wait_ms: float = float(_KNOB_DEFAULTS["admission_wait_ms"])  # type: ignore[arg-type]
     max_inflight_rows: int = int(_KNOB_DEFAULTS["max_inflight_rows"])  # type: ignore[arg-type]
     check_interval: int = int(_KNOB_DEFAULTS["check_interval"])  # type: ignore[arg-type]
@@ -170,11 +141,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.default_k <= 0:
             raise ServingError(f"default_k must be positive, got {self.default_k}")
-        if self.batching not in ("inflight", "microbatch"):
-            raise ServingError(
-                f"batching must be 'inflight' or 'microbatch', got "
-                f"{self.batching!r}"
-            )
         if self.online not in ("off", "isgd"):
             raise ServingError(
                 f"online must be 'off' or 'isgd', got {self.online!r}"
@@ -186,12 +152,6 @@ class ServiceConfig:
         if self.online_batch < 1:
             raise ServingError(
                 f"online_batch must be >= 1, got {self.online_batch}"
-            )
-        if self.max_batch < 1:
-            raise ServingError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms < 0:
-            raise ServingError(
-                f"max_wait_ms must be non-negative, got {self.max_wait_ms}"
             )
         if self.admission_wait_ms < 0:
             raise ServingError(
@@ -292,7 +252,7 @@ class _PendingRequest:
         return self._result
 
 
-#: Queue sentinel telling the batching worker to exit.
+#: Queue sentinel telling the scoring worker to exit.
 _SHUTDOWN = object()
 
 #: Poll period of the in-flight loop's growth-gated admission wait.
@@ -306,7 +266,8 @@ class RecommendService:
     ----------
     model:
         A fitted, *deterministic* recommender (scoring must be a pure
-        function of the history — micro-batching reorders calls).
+        function of the history — the scoring loop regroups and
+        reorders calls).
     store:
         The live session store. Wire its ``event_source`` to
         ``event_log.events_for`` so eviction rehydrates through the log.
@@ -339,7 +300,7 @@ class RecommendService:
         if not model.deterministic:
             raise ServingError(
                 "RecommendService requires a deterministic model: "
-                "micro-batching reorders scoring calls"
+                "the scoring loop regroups and reorders scoring calls"
             )
         if (
             store.window_size != config.window.window_size
@@ -380,30 +341,24 @@ class RecommendService:
         # worker and manual pump() callers; all engine mutation happens
         # under it.
         self._pump_lock = threading.Lock()
-        self._engine = (
-            _InflightEngine(self) if config.batching == "inflight" else None
-        )
+        self._engine = _InflightEngine(self)
         self._worker: Optional[threading.Thread] = None
         if not config.manual_pump:
-            target = (
-                self._inflight_loop
-                if config.batching == "inflight"
-                else self._batch_loop
-            )
             self._worker = threading.Thread(
-                target=target, name="repro-serving-batcher", daemon=True
+                target=self._inflight_loop,
+                name="repro-serving-batcher",
+                daemon=True,
             )
             self._worker.start()
         logger.info(
-            "service started: model=%s window=(%d, %d) batching=%s "
-            "max_batch=%d max_wait_ms=%.1f check_interval=%d",
+            "service started: model=%s window=(%d, %d) check_interval=%d "
+            "max_inflight_rows=%d admission_wait_ms=%.1f",
             model.name or type(model).__name__,
             config.window.window_size,
             config.window.min_gap,
-            config.batching,
-            config.max_batch,
-            config.max_wait_ms,
             config.check_interval,
+            config.max_inflight_rows,
+            config.admission_wait_ms,
         )
 
     # ------------------------------------------------------------------
@@ -446,6 +401,11 @@ class RecommendService:
                 f"[0, {self.config.n_items})"
             )
         with self.store.lock:
+            # close() sets _closed under this lock, so an ingest either
+            # completes its WAL append before the log closes or is
+            # refused here.
+            if self._closed:
+                raise ServingError("service is closed")
             session = self.store.get(user)
             if client_seq is not None:
                 client_seq = int(client_seq)
@@ -503,9 +463,12 @@ class RecommendService:
         deadline is set — the last-position vector the Recency fallback
         needs) is captured *now*, under the store lock; later ingests
         cannot leak into this request.
+
+        The closed check and the enqueue happen under the same store
+        lock :meth:`close` takes to enqueue the shutdown sentinel, so a
+        request either lands ahead of the sentinel (and is drained) or
+        is refused — it can never be stranded behind a stopped worker.
         """
-        if self._closed:
-            raise ServingError("service is closed")
         k = self.config.default_k if k is None else int(k)
         if k <= 0:
             raise ServingError(f"k must be positive, got {k}")
@@ -513,6 +476,8 @@ class RecommendService:
             deadline_ms = self.config.default_deadline_ms
         request_id = f"r{next(self._request_ids):08d}"
         with self.store.lock:
+            if self._closed:
+                raise ServingError("service is closed")
             session = self.store.get(int(user))
             t = session.t
             candidates = tuple(session.candidates())
@@ -521,15 +486,17 @@ class RecommendService:
                 if deadline_ms is not None and candidates
                 else None
             )
-        deadline = (
-            time.monotonic() + deadline_ms / 1e3
-            if deadline_ms is not None
-            else None
-        )
-        pending = _PendingRequest(
-            request_id, int(user), t, candidates, k, deadline, lasts
-        )
-        self.metrics.inc("requests")
+            deadline = (
+                time.monotonic() + deadline_ms / 1e3
+                if deadline_ms is not None
+                else None
+            )
+            pending = _PendingRequest(
+                request_id, int(user), t, candidates, k, deadline, lasts
+            )
+            self.metrics.inc("requests")
+            if candidates:
+                self._queue.put(pending)
         if not candidates:
             # Nothing recommendable (cold user or everything Ω-excluded):
             # answer empty without occupying the scoring loop.
@@ -544,7 +511,6 @@ class RecommendService:
             "request %s user=%d t=%d k=%d candidates=%d deadline_ms=%s",
             request_id, user, t, k, len(candidates), deadline_ms,
         )
-        self._queue.put(pending)
         return pending
 
     def recommend(
@@ -571,49 +537,29 @@ class RecommendService:
     def pump(self) -> int:
         """Run the scoring loop synchronously until no work remains.
 
-        Drains every request currently queued (and, in in-flight mode,
-        everything already admitted to the packed batch) on the
-        *caller's* thread, then returns the number of requests
-        completed. This is the single-step manual-pump contract: after
-        ``pump()`` returns, every request submitted before the call has
-        been resolved — identically in both batching modes, and whether
-        or not a background worker is also running (the pump lock
-        serializes them; work is completed exactly once).
+        Drains every request currently queued, and everything already
+        admitted, on the *caller's* thread, then returns the number of
+        requests completed. This is the single-step manual-pump
+        contract: after ``pump()`` returns, every request submitted
+        before the call has been resolved — whether or not a background
+        worker is also running (the pump lock serializes them; work is
+        completed exactly once).
 
-        In in-flight mode the pump still advances one kernel boundary
-        at a time — at most ``check_interval`` queries per model call,
-        admitting and retiring between calls — so manual driving
-        exercises the same loop shape as the background worker.
+        The pump still advances one kernel boundary at a time — at most
+        ``check_interval`` queries per model call, admitting and
+        retiring between calls — so manual driving exercises the same
+        loop shape as the background worker.
         """
+        engine = self._engine
         completed = 0
-        if self.config.batching == "inflight":
-            engine = self._engine
-            assert engine is not None
-            while True:
-                with self._pump_lock:
-                    sentinel, _ = self._drain_submissions(engine)
-                    if sentinel:
-                        # Not ours to consume: hand it back to the worker.
-                        self._queue.put(_SHUTDOWN)
-                    if engine.idle:
-                        return completed
-                    completed += engine.step()
         while True:
             with self._pump_lock:
-                batch: List[_PendingRequest] = []
-                while len(batch) < self.config.max_batch:
-                    try:
-                        item = self._queue.get_nowait()
-                    except queue.Empty:
-                        break
-                    if item is _SHUTDOWN:
-                        # Not ours to consume: hand it back to the worker.
-                        self._queue.put(item)
-                        break
-                    batch.append(item)  # type: ignore[arg-type]
-                if not batch:
+                if self._drain_submissions():
+                    # Not ours to consume: hand it back to the worker.
+                    self._queue.put(_SHUTDOWN)
+                if engine.idle:
                     return completed
-                completed += self._process_batch(batch)
+                completed += engine.step()
 
     def step(
         self, user: int, item: int, k: Optional[int] = None
@@ -626,12 +572,12 @@ class RecommendService:
         ``collect_queries`` filter), *before* the event is applied.
         Used by the equivalence suite, the benchmark, and ``replay``.
 
-        The contract is batching-mode independent: ``step`` observes the
-        session *before* ingesting, the recommend request captures its
-        query state at submit, and the call blocks until the answer is
-        resolved — so interleaving steps with any scoring-loop mode
-        (including ``manual_pump`` driving) replays the offline walk
-        position for position.
+        The contract is independent of the loop's shape: ``step``
+        observes the session *before* ingesting, the recommend request
+        captures its query state at submit, and the call blocks until
+        the answer is resolved — so interleaving steps with any knob
+        setting (including ``manual_pump`` driving) replays the offline
+        walk position for position.
         """
         with self.store.lock:
             session = self.store.get(int(user))
@@ -643,64 +589,10 @@ class RecommendService:
         return result
 
     # ------------------------------------------------------------------
-    # Micro-batching worker (batching="microbatch")
-    # ------------------------------------------------------------------
-    def _batch_loop(self) -> None:
-        max_wait = self.config.max_wait_ms / 1e3
-        while True:
-            head = self._queue.get()
-            if head is _SHUTDOWN:
-                return
-            batch: List[_PendingRequest] = [head]  # type: ignore[list-item]
-            drain_until = time.monotonic() + max_wait
-            stop = False
-            while len(batch) < self.config.max_batch:
-                remaining = drain_until - time.monotonic()
-                try:
-                    nxt = (
-                        self._queue.get_nowait()
-                        if remaining <= 0
-                        else self._queue.get(timeout=remaining)
-                    )
-                except queue.Empty:
-                    break
-                if nxt is _SHUTDOWN:
-                    stop = True
-                    break
-                batch.append(nxt)  # type: ignore[arg-type]
-            with self._pump_lock:
-                self._process_batch(batch)
-            if stop:
-                return
-
-    def _process_batch(self, batch: List[_PendingRequest]) -> int:
-        now = time.monotonic()
-        self.metrics.inc("batches")
-        self.metrics.inc("batched_requests", len(batch))
-        self.metrics.observe_gauge("queue_depth", self._queue.qsize())
-        by_user: Dict[int, List[_PendingRequest]] = {}
-        for pending in batch:
-            self.metrics.observe("admission_wait", now - pending.submitted)
-            by_user.setdefault(pending.user, []).append(pending)
-        for user, group in by_user.items():
-            try:
-                self._score_user_group(user, group)
-            except Exception as exc:  # noqa: BLE001 - reported per request
-                self.metrics.inc("errors", len(group))
-                logger.warning(
-                    "scoring failed for user %d (%d request(s)): %s",
-                    user, len(group), exc,
-                )
-                for pending in group:
-                    pending.fail(exc)
-        return len(batch)
-
-    # ------------------------------------------------------------------
-    # In-flight worker (batching="inflight")
+    # In-flight worker
     # ------------------------------------------------------------------
     def _inflight_loop(self) -> None:
         engine = self._engine
-        assert engine is not None
         max_wait = self.config.admission_wait_ms / 1e3
         stop = False
         while True:
@@ -714,19 +606,16 @@ class RecommendService:
                 else:
                     with self._pump_lock:
                         engine.take(head)  # type: ignore[arg-type]
-                    stop = self._coalesce_arrivals(engine, max_wait) or stop
+                    stop = self._coalesce_arrivals(max_wait) or stop
             with self._pump_lock:
-                sentinel, _ = self._drain_submissions(engine)
-                stop = stop or sentinel
+                stop = self._drain_submissions() or stop
                 if not engine.idle:
                     engine.step()
                     continue
             if stop:
                 return
 
-    def _coalesce_arrivals(
-        self, engine: "_InflightEngine", max_wait: float
-    ) -> bool:
+    def _coalesce_arrivals(self, max_wait: float) -> bool:
         """Optional growth-gated admission wait at the start of a busy period.
 
         A no-op unless ``admission_wait_ms`` is positive. When enabled:
@@ -745,27 +634,26 @@ class RecommendService:
         """
         if max_wait <= 0:
             return False
+        engine = self._engine
         deadline = time.monotonic() + max_wait
         stop = False
         seen = engine.n_inflight + len(engine.overflow)
         while not stop and time.monotonic() < deadline:
             time.sleep(_COALESCE_POLL_S)
             with self._pump_lock:
-                stop, _ = self._drain_submissions(engine)
+                stop = self._drain_submissions()
                 size = engine.n_inflight + len(engine.overflow)
             if size == seen:
                 break
             seen = size
         return stop
 
-    def _drain_submissions(self, engine: "_InflightEngine"):
+    def _drain_submissions(self) -> bool:
         """Move every queued submission into the engine.
 
-        Returns ``(saw_shutdown, admitted)``: whether the shutdown
-        sentinel was consumed, and how many requests were admitted.
+        Returns whether the shutdown sentinel was consumed.
         """
         stop = False
-        admitted = 0
         while True:
             try:
                 item = self._queue.get_nowait()
@@ -777,22 +665,16 @@ class RecommendService:
                 # shutdown never strands a handle.
                 stop = True
                 continue
-            engine.take(item)  # type: ignore[arg-type]
-            admitted += 1
-        return stop, admitted
+            self._engine.take(item)  # type: ignore[arg-type]
+        return stop
 
     def _score_user_chunk(
-        self,
-        user: int,
-        group: List[_PendingRequest],
-        candidates_of: Callable[[_PendingRequest], List[int]],
+        self, user: int, group: List[_PendingRequest]
     ) -> None:
-        """One in-flight kernel: answer a chunk of one user's requests.
+        """One kernel: answer a chunk of one user's requests.
 
-        ``candidates_of`` resolves a request's candidate row range out
-        of the packed buffer; the resulting plain-int lists are exactly
-        the candidates captured at submit, so the packed layout is
-        invisible to the model.
+        Each query carries the candidate tuple captured at submit, so
+        the model scores exactly what the request saw.
         """
         now = time.monotonic()
         live: List[_PendingRequest] = []
@@ -808,7 +690,7 @@ class RecommendService:
         with self.store.lock:
             sequence = self.store.get(user).sequence()
         queries = [
-            Query(t=pending.t, candidates=candidates_of(pending))
+            Query(t=pending.t, candidates=pending.candidates)
             for pending in live
         ]
         max_k = max(pending.k for pending in live)
@@ -822,14 +704,6 @@ class RecommendService:
             else:
                 self.metrics.inc("scored_answers")
                 pending.resolve(ranked[: pending.k], degraded=False)
-
-    def _score_user_group(
-        self, user: int, group: List[_PendingRequest]
-    ) -> None:
-        """Answer all of one user's requests with one batched model call."""
-        self._score_user_chunk(
-            user, group, lambda pending: list(pending.candidates)
-        )
 
     def _resolve_fallback(self, pending: _PendingRequest, cause: str) -> None:
         """Answer from the Recency baseline computed off captured state.
@@ -891,12 +765,21 @@ class RecommendService:
         return self.metrics.as_dict(self.store.counters.as_dict())
 
     def close(self) -> None:
-        """Stop the batching worker, drain pending work, seal the log."""
-        if self._closed:
-            return
-        self._closed = True
+        """Stop the scoring worker, drain pending work, seal the log.
+
+        ``_closed`` is set and the shutdown sentinel enqueued under the
+        store lock, which :meth:`submit` and :meth:`ingest` hold while
+        they check it: every accepted request is queued ahead of the
+        sentinel (so the worker drains it), and no ingest can still be
+        appending when the log closes below.
+        """
+        with self.store.lock:
+            if self._closed:
+                return
+            self._closed = True
+            if self._worker is not None:
+                self._queue.put(_SHUTDOWN)
         if self._worker is not None:
-            self._queue.put(_SHUTDOWN)
             self._worker.join(timeout=30.0)
         else:
             # Manual-pump services have no worker; flush whatever was
@@ -919,27 +802,29 @@ class _InflightEngine:
     """Mutable state of the continuously batched scoring loop.
 
     Not thread-safe on its own: the service serializes every call
-    through its pump lock. Three structures cooperate:
+    through its pump lock. Two structures cooperate:
 
-    * ``batch`` — the :class:`~repro.engine.packed.PackedCandidateBatch`
-      holding every admitted request's candidate rows contiguously;
     * ``queues`` — per-user FIFO queues of admitted requests, walked
       round-robin so each kernel boundary serves the next user in turn
       (one user's burst cannot monopolize the loop);
     * ``overflow`` — submissions held back by the ``max_inflight_rows``
       admission bound, re-examined (FIFO) at every boundary.
+
+    ``live_rows`` counts the candidate rows of the admitted requests
+    (each holds its captured tuple): added on admit, subtracted when
+    the request retires after its kernel.
     """
 
-    __slots__ = ("service", "config", "batch", "queues", "overflow",
-                 "n_inflight")
+    __slots__ = ("service", "config", "queues", "overflow", "n_inflight",
+                 "live_rows")
 
     def __init__(self, service: "RecommendService") -> None:
         self.service = service
         self.config = service.config
-        self.batch = PackedCandidateBatch()
         self.queues: "OrderedDict[int, Deque[_PendingRequest]]" = OrderedDict()
         self.overflow: Deque[_PendingRequest] = deque()
         self.n_inflight = 0
+        self.live_rows = 0
 
     @property
     def idle(self) -> bool:
@@ -951,7 +836,7 @@ class _InflightEngine:
         # row budget — so admission control can never starve a request.
         if self.n_inflight == 0:
             return True
-        rows = self.batch.live_rows + len(pending.candidates)
+        rows = self.live_rows + len(pending.candidates)
         return rows <= self.config.max_inflight_rows
 
     def _admit(self, pending: _PendingRequest) -> None:
@@ -959,7 +844,7 @@ class _InflightEngine:
         metrics.observe(
             "admission_wait", time.monotonic() - pending.submitted
         )
-        self.batch.admit(pending.request_id, pending.candidates)
+        self.live_rows += len(pending.candidates)
         self.queues.setdefault(pending.user, deque()).append(pending)
         self.n_inflight += 1
 
@@ -984,7 +869,7 @@ class _InflightEngine:
 
         Picks the next user round-robin, scores at most
         ``check_interval`` of its queued requests with one model call,
-        resolves them, retires their packed rows, and refills from
+        resolves them, retires their rows, and refills from
         overflow — so admission and retirement happen between every
         kernel, never only between full batches.
         """
@@ -993,7 +878,7 @@ class _InflightEngine:
             return 0
         service = self.service
         metrics = service.metrics
-        metrics.observe_gauge("batch_occupancy_rows", self.batch.live_rows)
+        metrics.observe_gauge("batch_occupancy_rows", self.live_rows)
         metrics.observe_gauge("inflight_requests", self.n_inflight)
         metrics.observe_gauge(
             "queue_depth", service._queue.qsize() + len(self.overflow)
@@ -1010,9 +895,7 @@ class _InflightEngine:
         metrics.inc("batches")
         metrics.inc("batched_requests", len(chunk))
         try:
-            service._score_user_chunk(
-                user, chunk, lambda p: self.batch.candidate_list_of(p.request_id)
-            )
+            service._score_user_chunk(user, chunk)
         except Exception as exc:  # noqa: BLE001 - reported per request
             metrics.inc("errors", len(chunk))
             logger.warning(
@@ -1022,8 +905,7 @@ class _InflightEngine:
             for pending in chunk:
                 pending.fail(exc)
         finally:
-            for pending in chunk:
-                self.batch.retire(pending.request_id)
+            self.live_rows -= sum(len(p.candidates) for p in chunk)
             self.n_inflight -= len(chunk)
         return len(chunk)
 

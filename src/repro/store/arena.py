@@ -2,7 +2,7 @@
 
 A :class:`SessionArena` packs every user's base history into two (or
 three) contiguous numpy columns — the cu_seqlens idiom of
-:mod:`repro.engine.packed`:
+variable-length batch kernels:
 
 ::
 
@@ -19,8 +19,8 @@ so resident memory is only what the OS pages in.
 :class:`ArenaHistoryStore` implements the
 :class:`~repro.store.base.HistoryStore` protocol on top: reads are
 zero-copy :class:`ArenaHistoryView` slices of the arena, live appends go
-to small per-user **tail segments** (growable int32 buffers, doubling
-like ``PackedCandidateBatch``) that :meth:`ArenaHistoryStore.compact`
+to small per-user **tail segments** (growable int32 buffers with
+amortized doubling) that :meth:`ArenaHistoryStore.compact`
 merges back into a fresh arena. Eviction of a serving session costs
 nothing here — the tail stays in the store, so rehydration is a view,
 not a copy.
@@ -297,7 +297,7 @@ class SessionArena:
 class _TailSegment:
     """One user's live consumptions: a growable int32 column.
 
-    Same doubling discipline as ``PackedCandidateBatch``; a tail holding
+    Capacity doubles as it fills (amortized O(1) appends); a tail holding
     ``n`` events costs ~``4n`` bytes plus one small Python object,
     against ~28 bytes *per event* for a list of boxed ints.
     """

@@ -5,10 +5,8 @@ The pipeline (``repro-experiments tune {serving,cluster,training}``):
 1. **Probe** the machine once (:func:`~repro.tuning.probe.probe_machine`)
    — kernel µs/row at several batch sizes, bytes/user per store kind,
    fork startup cost, cores, memory. Seconds, not minutes.
-2. **Enumerate** every candidate configuration from the knob registry's
-   search spaces (:mod:`repro.tuning.defaults`), canonicalized per
-   batching mode so e.g. an in-flight candidate never varies the
-   micro-batch knobs it ignores.
+2. **Enumerate** every candidate configuration: the cross product of
+   the knob registry's search spaces (:mod:`repro.tuning.defaults`).
 3. **Predict** each candidate's latency/memory with the analytic cost
    model (:mod:`repro.tuning.cost`) and rank — candidates whose
    predicted memory exceeds the machine's budget sink to the bottom.
@@ -53,14 +51,6 @@ logger = get_logger("tuning.autotune")
 
 #: Tune-journal schema version; bump on breaking layout changes.
 TUNE_JOURNAL_VERSION = 1
-
-#: Serving/cluster knobs that only matter under one batching mode; a
-#: candidate pins the other mode's knobs to their defaults so the
-#: search space never multiplies across ignored axes.
-MODE_KNOBS = {
-    "inflight": ("check_interval", "max_inflight_rows", "admission_wait_ms"),
-    "microbatch": ("max_batch", "max_wait_ms"),
-}
 
 
 def candidate_key(knobs: Mapping[str, object]) -> str:
@@ -242,66 +232,25 @@ class AutoTuner:
     def enumerate_candidates(self) -> List[Dict[str, object]]:
         """Every canonical candidate config, deterministically ordered.
 
-        Serving/cluster candidates vary only the knobs their batching
-        mode consumes (the other mode's knobs stay at defaults);
-        training candidates are the plain cross product. ``fit_workers``
-        values beyond the probed core count are dropped — they cannot
-        help and waste validation budget.
+        Every subsystem enumerates the cross product of its knobs'
+        search spaces (unsearched knobs stay at their defaults).
+        ``fit_workers`` values beyond the probed core count are dropped
+        — they cannot help and waste validation budget.
         """
         registry = knobs_for(self.subsystem)
         base = defaults_for(self.subsystem)
-        candidates: List[Dict[str, object]] = []
-        if self.subsystem == "training":
-            names = sorted(name for name in registry if registry[name].search)
-            spaces = [registry[name].search for name in names]
-            for values in itertools.product(*spaces):
-                candidate = dict(base)
-                candidate.update(dict(zip(names, values)))
-                candidates.append(candidate)
-            if self.probe is not None:
-                cores = self.probe.cpu_count
-                candidates = [
-                    c for c in candidates
-                    if int(c.get("fit_workers", 1)) <= max(cores, 1)
-                ]
-        else:
-            mode_specific = {
-                name
-                for names in MODE_KNOBS.values()
-                for name in names
-                if name in registry
-            }
-            shared = sorted(
-                name
-                for name in registry
-                if name not in mode_specific
-                and name != "batching"
-                and registry[name].search
-            )
-            shared_spaces = [registry[name].search for name in shared]
-            for mode in registry["batching"].search:
-                varied = sorted(
-                    name
-                    for name in MODE_KNOBS.get(str(mode), ())
-                    if name in registry
-                )
-                varied_spaces = [registry[name].search for name in varied]
-                for mode_values in itertools.product(*varied_spaces):
-                    for shared_values in itertools.product(*shared_spaces):
-                        candidate = dict(base)
-                        candidate["batching"] = mode
-                        candidate.update(dict(zip(varied, mode_values)))
-                        candidate.update(dict(zip(shared, shared_values)))
-                        candidates.append(candidate)
-        # Stable dedup (mode spaces can collide on the default point).
-        seen = set()
-        unique = []
-        for candidate in candidates:
-            key = candidate_key(candidate)
-            if key not in seen:
-                seen.add(key)
-                unique.append(candidate)
-        return unique
+        names = sorted(name for name in registry if registry[name].search)
+        spaces = [registry[name].search for name in names]
+        candidates = [
+            {**base, **dict(zip(names, values))}
+            for values in itertools.product(*spaces)
+        ]
+        if self.probe is not None and "fit_workers" in registry:
+            cores = max(self.probe.cpu_count, 1)
+            candidates = [
+                c for c in candidates if int(c["fit_workers"]) <= cores
+            ]
+        return candidates
 
     # ------------------------------------------------------------------
     # Search
@@ -466,7 +415,6 @@ class AutoTuner:
 __all__ = [
     "AutoTuner",
     "CandidateResult",
-    "MODE_KNOBS",
     "TUNE_JOURNAL_VERSION",
     "TuneJournal",
     "candidate_key",

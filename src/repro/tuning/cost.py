@@ -10,17 +10,14 @@ constants from one quick probe (:mod:`repro.tuning.probe`):
 * a scoring kernel over ``q`` queries of width ``w`` costs
   ``overhead + us_per_row * q * w`` microseconds (the probe's
   least-squares line);
-* **micro-batch** mode pays its ``max_wait_ms`` straggler wait on every
-  calm single (that is the p50) and, on a burst of ``B``, drains
-  ``ceil(B / max_batch)`` sequential batches head-of-line (the p99);
-* **in-flight** mode admits at kernel boundaries: a calm single waits
+* the in-flight loop admits at kernel boundaries: a calm single waits
   one admission poll (only when the growth gate is enabled) plus one
-  single-query kernel; the last request of a burst drains behind
-  ``ceil(B / check_interval)`` boundary kernels, and a
+  single-query kernel (the p50); the last request of a burst of ``B``
+  drains behind ``ceil(B / check_interval)`` boundary kernels, and a
   ``max_inflight_rows`` bound below the burst's row demand serializes
-  extra admission passes on top;
-* memory is ``capacity × bytes_per_user[store]`` plus the packed
-  batch's row budget.
+  extra admission passes on top (the p99);
+* memory is ``capacity × bytes_per_user[store]`` plus the row budget
+  the admitted requests may hold.
 
 The model is deliberately simple — monotone in every knob and correct
 about *ordering*, which is all ranking needs; absolute accuracy comes
@@ -43,8 +40,10 @@ from repro.tuning.probe import MachineProbe
 #: ``repro.serving.service._COALESCE_POLL_S``).
 ADMISSION_POLL_MS = 0.5
 
-#: Bytes per packed candidate row (int64 arena + offsets bookkeeping).
-PACKED_ROW_BYTES = 16.0
+#: Bytes charged per admitted candidate row. Admitted requests hold
+#: their captured candidate tuples, so ``max_inflight_rows`` bounds
+#: that memory too; the charge keeps the row bound in the ranking.
+ROW_BYTES = 16.0
 
 
 @dataclass(frozen=True)
@@ -109,47 +108,24 @@ class CostModel:
     def predict_serving(
         self, knobs: Mapping[str, object], shape: WorkloadShape
     ) -> Prediction:
-        """Latency/memory prediction for one serving (or cluster) config.
-
-        Cluster configs carry no micro-batch knobs; their defaults are
-        substituted, which is exactly what the shards do.
-        """
+        """Latency/memory prediction for one serving (or cluster) config."""
         width = shape.candidates_per_request
         burst = max(int(shape.burst_size), 1)
-        batching = str(knobs.get("batching", "inflight"))
-        if batching == "microbatch":
-            max_batch = int(knobs.get("max_batch", 64))
-            max_wait_ms = float(knobs.get("max_wait_ms", 2.0))
-            # Every calm single waits the full straggler window, then
-            # runs a one-query kernel.
-            p50 = max_wait_ms + self.kernel_ms(1, width)
-            # The last request of a burst waits its own straggler
-            # window, then drains behind ceil(B/max_batch) sequential
-            # batches (head-of-line).
-            n_batches = math.ceil(burst / max_batch)
-            p99 = max_wait_ms + n_batches * self.kernel_ms(
-                min(burst, max_batch), width
-            )
-            inflight_rows = 0.0
-        elif batching == "inflight":
-            check_interval = int(knobs.get("check_interval", 16))
-            max_rows = int(knobs.get("max_inflight_rows", 32768))
-            admission_wait_ms = float(knobs.get("admission_wait_ms", 0.0))
-            poll = ADMISSION_POLL_MS if admission_wait_ms > 0 else 0.0
-            p50 = poll + self.kernel_ms(1, width)
-            # The burst drains in ceil(B/check_interval) boundary
-            # kernels; a row bound below the burst's demand forces
-            # extra admission passes that serialize on retirements.
-            n_chunks = math.ceil(burst / check_interval)
-            p99 = poll + n_chunks * self.kernel_ms(
-                min(burst, check_interval), width
-            )
-            demanded_rows = burst * width
-            if max_rows < demanded_rows:
-                p99 *= demanded_rows / max_rows
-            inflight_rows = float(max_rows)
-        else:
-            raise TuningError(f"unknown batching mode {batching!r}")
+        check_interval = int(knobs.get("check_interval", 16))
+        max_rows = int(knobs.get("max_inflight_rows", 32768))
+        admission_wait_ms = float(knobs.get("admission_wait_ms", 0.0))
+        poll = ADMISSION_POLL_MS if admission_wait_ms > 0 else 0.0
+        p50 = poll + self.kernel_ms(1, width)
+        # The burst drains in ceil(B/check_interval) boundary kernels; a
+        # row bound below the burst's demand forces extra admission
+        # passes that serialize on retirements.
+        n_chunks = math.ceil(burst / check_interval)
+        p99 = poll + n_chunks * self.kernel_ms(
+            min(burst, check_interval), width
+        )
+        demanded_rows = burst * width
+        if max_rows < demanded_rows:
+            p99 *= demanded_rows / max_rows
         capacity = int(knobs.get("capacity", 1024))
         store = str(knobs.get("store", "arena"))
         bytes_per_user = self.probe.bytes_per_user.get(store)
@@ -157,7 +133,7 @@ class CostModel:
             # Probe skipped the store sweep: assume parity so memory
             # never silently breaks the ranking.
             bytes_per_user = 256.0
-        mem = capacity * bytes_per_user + inflight_rows * PACKED_ROW_BYTES
+        mem = capacity * bytes_per_user + max_rows * ROW_BYTES
         return Prediction(
             p50_ms=round(p50, 6), p99_ms=round(p99, 6), mem_bytes=round(mem, 1)
         )

@@ -1,14 +1,13 @@
 """The knob registry: every tunable serving/cluster/training constant.
 
-Before this module, every hot-path knob — micro/in-flight ``max_batch``,
-``max_wait_ms``, ``check_interval``, ``max_inflight_rows``,
-``admission_wait_ms``, LRU ``capacity``, arena store kind,
-``fit_workers``, SGD block size — was a hand-picked literal scattered
-across :class:`~repro.serving.service.ServiceConfig`, the CLIs, and the
-training entry points, each tuned on one machine. The registry declares
-each knob **once**: its type, valid range (or choice set), built-in
-default, which subsystem consumes it, and the candidate values the
-autotuner searches. Everything else derives from here:
+Before this module, every hot-path knob — ``check_interval``,
+``max_inflight_rows``, ``admission_wait_ms``, LRU ``capacity``, arena
+store kind, ``fit_workers``, SGD block size — was a hand-picked literal
+scattered across :class:`~repro.serving.service.ServiceConfig`, the
+CLIs, and the training entry points, each tuned on one machine. The
+registry declares each knob **once**: its type, valid range (or choice
+set), built-in default, which subsystem consumes it, and the candidate
+values the autotuner searches. Everything else derives from here:
 
 * :class:`~repro.serving.service.ServiceConfig` field defaults,
 * ``repro-serve`` / ``repro-experiments`` argparse defaults and help,
@@ -25,7 +24,7 @@ each resolved knob.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.exceptions import TuningError
@@ -148,47 +147,26 @@ class Knob:
 def _build_registry() -> Dict[str, Dict[str, Knob]]:
     scoring = [
         Knob(
-            "batching", "serving", "inflight", str,
-            choices=("inflight", "microbatch"),
-            search=("inflight", "microbatch"),
-            consumer="repro.serving.service.ServiceConfig",
-            help="scoring loop: continuously fed packed batch (inflight) "
-            "or drain-then-refill micro-batches (microbatch); answers are "
-            "bit-identical either way",
-        ),
-        Knob(
-            "max_batch", "serving", 64, int, lo=1, hi=4096,
-            search=(16, 64, 256),
-            consumer="repro.serving.service.ServiceConfig",
-            help="micro-batch mode: max requests coalesced into one "
-            "scoring batch",
-        ),
-        Knob(
-            "max_wait_ms", "serving", 2.0, float, lo=0.0, hi=100.0,
-            search=(0.5, 2.0, 10.0),
-            consumer="repro.serving.service.ServiceConfig",
-            help="micro-batch mode: how long a batch waits for stragglers",
-        ),
-        Knob(
             "check_interval", "serving", 16, int, lo=1, hi=4096,
             search=(4, 16, 64),
             consumer="repro.serving.service.ServiceConfig",
-            help="in-flight mode: max queries scored per model call — the "
-            "kernel-boundary granularity at which requests admit and retire",
+            help="max queries scored per model call — the kernel-boundary "
+            "granularity at which requests admit and retire",
         ),
         Knob(
             "max_inflight_rows", "serving", 32768, int, lo=1, hi=1 << 22,
             search=(4096, 32768, 131072),
             consumer="repro.serving.service.ServiceConfig",
-            help="in-flight mode: admission-control bound on packed "
-            "candidate rows; requests beyond it wait in the overflow queue",
+            help="admission-control bound on the candidate rows of "
+            "admitted requests; requests beyond it wait in the overflow "
+            "queue",
         ),
         Knob(
             "admission_wait_ms", "serving", 0.0, float, lo=0.0, hi=100.0,
             search=(0.0, 1.0),
             consumer="repro.serving.service.ServiceConfig",
-            help="in-flight mode: optional growth-gated coalescing wait at "
-            "the start of a busy period (0 = admit and score immediately)",
+            help="optional growth-gated coalescing wait at the start of a "
+            "busy period (0 = admit and score immediately)",
         ),
         Knob(
             "capacity", "serving", 1024, int, lo=1, hi=1 << 24,
@@ -206,8 +184,8 @@ def _build_registry() -> Dict[str, Dict[str, Knob]]:
         ),
         # Online-learning knobs carry an empty ``search`` tuple: they
         # change the model, not the serving schedule, so the autotuner's
-        # latency objective cannot rank them (candidate spaces stay
-        # 54/38 per batching mode).
+        # latency objective cannot rank them (the serving and cluster
+        # candidate spaces stay at 36).
         Knob(
             "online", "serving", "off", str, choices=("off", "isgd"),
             search=(),
@@ -235,18 +213,10 @@ def _build_registry() -> Dict[str, Dict[str, Knob]]:
             "serving tail",
         ),
     ]
-    # The cluster shards run the same scoring loop per worker; its knob
-    # set is the in-flight subset plus per-shard capacity/store (the
-    # cluster CLI exposes no micro-batch sizing knobs).
-    cluster = [
-        Knob(
-            knob.name, "cluster", knob.default, knob.kind,
-            lo=knob.lo, hi=knob.hi, choices=knob.choices,
-            search=knob.search, consumer=knob.consumer, help=knob.help,
-        )
-        for knob in scoring
-        if knob.name not in ("max_batch", "max_wait_ms")
-    ]
+    # The cluster shards run the same scoring loop per worker, so the
+    # cluster subsystem registers the same knobs (capacity and store
+    # apply per shard).
+    cluster = [replace(knob, subsystem="cluster") for knob in scoring]
     training = [
         Knob(
             "fit_workers", "training", 1, int, lo=1, hi=256,

@@ -21,8 +21,8 @@ class LoadGenerator:
 
     Latency guards are only comparable when every mode replays the
     *same* arrival schedule, so the generators are seeded and pure: the
-    serving bench feeds both batching modes one schedule from
-    :meth:`bursty_times`, the cluster benches pace their client threads
+    serving bench replays one schedule from :meth:`bursty_times`
+    across its best-of-reps runs, the cluster benches pace their client threads
     with :meth:`poisson_gaps` instead of ad-hoc tight loops, and the
     autotuner measures every validated candidate against one shared
     bursty schedule.
@@ -47,9 +47,10 @@ class LoadGenerator:
 
         Alternates a calm phase — ``calm_between`` arrivals with
         exponential gaps at ``calm_rate_hz`` — with a burst phase of
-        ``burst_size`` simultaneous arrivals. This is the adversarial
-        shape for drain-then-refill batching: bursts overwhelm one
-        batch window while calm singles pay the full straggler wait.
+        ``burst_size`` simultaneous arrivals. Bursts queue behind
+        each other's kernels while calm singles each start a busy
+        period of their own, so the schedule exercises both the
+        scoring loop's admission and its tail.
         """
         rng = np.random.default_rng(seed)
         times: List[float] = []

@@ -33,9 +33,6 @@ logger = get_logger("tuning.measure")
 #: Serving-side knobs consumed by ServiceConfig (the rest go to the
 #: session-store wiring).
 _SERVICE_KNOBS = (
-    "batching",
-    "max_batch",
-    "max_wait_ms",
     "check_interval",
     "max_inflight_rows",
     "admission_wait_ms",

@@ -147,7 +147,9 @@ class MachineProfile:
             When the file is missing, not JSON, not an object, carries
             an unsupported ``profile_version``, fails its checksum, or
             names an unknown subsystem / unknown knob / out-of-range
-            knob value.
+            knob value. A knob the registry no longer declares (a
+            profile tuned by an older build) is reported as stale,
+            naming the file and the knobs, with the re-tune command.
         """
         path = Path(path)
         if not path.exists():
@@ -195,6 +197,14 @@ class MachineProfile:
                     f"malformed machine profile at {path}: subsystem "
                     f"{subsystem!r} block must be an object with a "
                     f"'knobs' object"
+                )
+            registered = knobs_for(subsystem)
+            unknown = sorted(set(block.get("knobs", {})) - set(registered))
+            if unknown:
+                raise TuningError(
+                    f"stale machine profile at {path}: subsystem "
+                    f"{subsystem!r} names unregistered knob(s) "
+                    f"{', '.join(unknown)} — re-run 'repro-experiments tune'"
                 )
             profile.set_subsystem(
                 subsystem,

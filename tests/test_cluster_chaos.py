@@ -40,11 +40,10 @@ ROUNDS = 12
 
 @pytest.mark.chaos
 class TestShardKillUnderLoad:
-    @pytest.mark.parametrize("batching", ["inflight", "microbatch"])
-    def test_kill_one_worker_mid_stream(self, tmp_path, batching) -> None:
-        """SIGKILL lands mid-in-flight-batch (or mid-micro-batch).
+    def test_kill_one_worker_mid_stream(self, tmp_path) -> None:
+        """SIGKILL lands mid-in-flight-batch.
 
-        Requests admitted to the packed batch die with the worker; the
+        Requests admitted to the scoring loop die with the worker; the
         supervisor must still restart the shard by WAL replay with
         bit-identical fingerprints, and the router must hide the whole
         episode from clients.
@@ -56,9 +55,7 @@ class TestShardKillUnderLoad:
         )
         users = list(range(split.n_users))
         model = RecencyRecommender().fit(split, SMALL_WINDOW)
-        config = ServiceConfig(
-            window=SMALL_WINDOW, n_items=split.n_items, batching=batching
-        )
+        config = ServiceConfig(window=SMALL_WINDOW, n_items=split.n_items)
         supervisor = ShardSupervisor(
             split,
             model,

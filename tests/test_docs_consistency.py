@@ -2,7 +2,8 @@
 
 These guard the reproduction contract: every registered paper artifact
 must be documented in DESIGN.md and EXPERIMENTS.md and have a benchmark
-that regenerates it; every public module must carry a docstring.
+that regenerates it; every public module must carry a docstring; and
+DESIGN.md's knob table lists exactly the registered knobs.
 """
 
 import importlib
@@ -13,6 +14,7 @@ import pytest
 
 import repro
 from repro.experiments.registry import available_experiments
+from repro.tuning.defaults import KNOBS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -66,3 +68,33 @@ class TestDocstrings:
         for name in models.__all__:
             cls = getattr(models, name)
             assert (cls.__doc__ or "").strip(), f"{name} lacks a docstring"
+
+
+def _design_knob_rows():
+    """``(subsystem, knob)`` pairs the DESIGN.md knob table declares.
+
+    Rows look like ``| `name` | serving, cluster | ... |``; the table is
+    the one under the "Knob registry" heading of §13.
+    """
+    text = (REPO_ROOT / "DESIGN.md").read_text()
+    section = text.split("### Knob registry", 1)[1].split("\n#", 1)[0]
+    pairs = set()
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) < 2 or not cells[0].startswith("`"):
+            continue
+        for subsystem in cells[1].split(","):
+            pairs.add((subsystem.strip(), cells[0].strip("`")))
+    return pairs
+
+
+class TestKnobTable:
+    def test_design_table_matches_the_registry(self):
+        registered = {
+            (subsystem, name)
+            for subsystem, knobs in KNOBS.items()
+            for name in knobs
+        }
+        documented = _design_knob_rows()
+        assert registered - documented == set(), "knobs missing from DESIGN.md"
+        assert documented - registered == set(), "DESIGN.md rows name no knob"

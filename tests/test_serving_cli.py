@@ -9,6 +9,8 @@ produced by a live service.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 import repro.cli as experiments_cli
@@ -17,7 +19,7 @@ from repro.models.recency import RecencyRecommender
 from repro.serving.cli import (
     DATASET_CHOICES,
     MODEL_CHOICES,
-    SERVE_KNOB_ARGS,
+    KNOB_ARGS,
     build_model,
     build_parser,
     build_split,
@@ -26,7 +28,9 @@ from repro.serving.cli import (
 )
 from repro.serving.events import EventLog
 from repro.serving.service import ServiceConfig, service_for_split
-from repro.tuning.defaults import values_of
+from repro.resilience.atomic import sha256_bytes
+from repro.tuning.defaults import defaults_for, values_of
+from repro.tuning.profile import MachineProfile
 
 
 class TestParser:
@@ -39,16 +43,15 @@ class TestParser:
         assert args.model == "recency"
         assert args.dataset == "gowalla"
         assert args.port == 8423
-        for name in SERVE_KNOB_ARGS:
+        for name in KNOB_ARGS:
             assert getattr(args, name) is None
         assert args.profile is None
         assert args.event_log is None
         assert args.deadline_ms is None
-        resolved = resolve_knob_args(args, "serving", SERVE_KNOB_ARGS)
+        resolved = resolve_knob_args(args, "serving", KNOB_ARGS)
         values = values_of(resolved)
+        assert set(values) == set(KNOB_ARGS)
         assert values["capacity"] == 1024
-        assert values["max_batch"] == 64
-        assert values["batching"] == "inflight"
         assert values["check_interval"] == 16
         assert values["max_inflight_rows"] == 32768
         assert values["admission_wait_ms"] == 0.0
@@ -64,9 +67,6 @@ class TestParser:
                 "--dataset", "lastfm",
                 "--port", "0",
                 "--event-log", str(tmp_path / "e.log"),
-                "--max-batch", "8",
-                "--max-wait-ms", "0.5",
-                "--batching", "microbatch",
                 "--check-interval", "4",
                 "--max-inflight-rows", "512",
                 "--admission-wait-ms", "1.5",
@@ -79,8 +79,6 @@ class TestParser:
         assert args.log_level == "debug"
         assert args.model == "tsppr"
         assert args.dataset == "lastfm"
-        assert args.max_batch == 8
-        assert args.batching == "microbatch"
         assert args.check_interval == 4
         assert args.max_inflight_rows == 512
         assert args.admission_wait_ms == 1.5
@@ -117,6 +115,36 @@ class TestParser:
     def test_choices_cover_bundled_models(self) -> None:
         assert set(MODEL_CHOICES) == {"recency", "pop", "tsppr", "ppr", "fpmc"}
         assert set(DATASET_CHOICES) == {"gowalla", "lastfm"}
+
+
+class TestStaleProfile:
+    def test_serve_rejects_a_profile_naming_a_retired_knob(
+        self, tmp_path, capsys
+    ) -> None:
+        """An intact profile from an older registry fails fast, in one line."""
+        path = tmp_path / "profile.json"
+        profile = MachineProfile(created="t0")
+        profile.set_subsystem("serving", defaults_for("serving"))
+        profile.save(path)
+        payload = json.loads(path.read_text())
+        payload["subsystems"]["serving"]["knobs"]["batching"] = "inflight"
+        del payload["checksum"]
+        payload["checksum"] = sha256_bytes(
+            json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
+        )
+        path.write_text(json.dumps(payload))
+        code = main(
+            ["--log-level", "critical", "serve", "--profile", str(path)]
+        )
+        assert code == 1
+        errors = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("error:")
+        ]
+        assert len(errors) == 1
+        assert "stale machine profile" in errors[0]
+        assert str(path) in errors[0] and "batching" in errors[0]
+        assert "re-run 'repro-experiments tune'" in errors[0]
 
 
 class TestBuilders:

@@ -1,11 +1,12 @@
-"""In-flight batching contracts: bit-identity, manual pump, accounting.
+"""In-flight scoring-loop contracts: bit-identity, manual pump, accounting.
 
-The continuously fed packed-batch loop must be *invisible* in the
-answers: for every model, any chunk size, any admission-control bound,
-and any interleaving of mid-batch admissions and early retirements, the
-recommendation lists must equal the micro-batch loop's and the offline
-protocol's bit for bit. This suite pins that, plus the single-step
-manual-pump contract and the split fallback accounting.
+The continuously fed scoring loop must be *invisible* in the answers:
+for every model, any chunk size, any admission-control bound, and any
+interleaving of mid-batch admissions and early retirements, the
+recommendation lists must equal the offline protocol's bit for bit.
+This suite pins that, plus the single-step manual-pump contract, the
+row accounting of admission control, and the split fallback
+accounting.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 from conftest import SMALL_WINDOW
 
 from repro.data.split import SplitDataset
+from repro.engine.query import Query
 from repro.exceptions import ServingError
 from repro.models.fpmc import FPMCRecommender
 from repro.models.ppr import PPRRecommender
@@ -42,18 +44,12 @@ MODEL_FACTORIES = {
 
 class TestInflightBitIdentity:
     @pytest.mark.parametrize("name", sorted(MODEL_FACTORIES))
-    def test_inflight_equals_microbatch_equals_offline(
+    def test_inflight_equals_offline(
         self, name: str, gowalla_split: SplitDataset
     ) -> None:
         model = MODEL_FACTORIES[name]().fit(gowalla_split, SMALL_WINDOW)
         users = [0, 1, 2, 3]
-        inflight = replay_online(
-            model, gowalla_split, users, batching="inflight"
-        )
-        microbatch = replay_online(
-            model, gowalla_split, users, batching="microbatch"
-        )
-        assert inflight == microbatch
+        inflight = replay_online(model, gowalla_split, users)
         for user in users:
             offline = offline_recommendations(model, gowalla_split, user)
             assert inflight[user] == offline, (
@@ -68,8 +64,7 @@ class TestInflightBitIdentity:
         users = [0, 1, 2]
         replays = [
             replay_online(
-                model, gowalla_split, users,
-                batching="inflight", check_interval=interval,
+                model, gowalla_split, users, check_interval=interval
             )
             for interval in (1, 3, 64)
         ]
@@ -82,12 +77,10 @@ class TestInflightBitIdentity:
         model = RecencyRecommender().fit(gowalla_split, SMALL_WINDOW)
         users = [0, 1]
         gated = replay_online(
-            model, gowalla_split, users,
-            batching="inflight", admission_wait_ms=5.0,
+            model, gowalla_split, users, admission_wait_ms=5.0
         )
         ungated = replay_online(
-            model, gowalla_split, users,
-            batching="inflight", admission_wait_ms=0.0,
+            model, gowalla_split, users, admission_wait_ms=0.0
         )
         assert gated == ungated
 
@@ -103,39 +96,33 @@ class TestInflightBitIdentity:
         model = RecencyRecommender().fit(gowalla_split, SMALL_WINDOW)
         users = [0, 1]
         tight = replay_online(
-            model, gowalla_split, users,
-            batching="inflight", max_inflight_rows=1,
+            model, gowalla_split, users, max_inflight_rows=1
         )
         roomy = replay_online(
-            model, gowalla_split, users,
-            batching="inflight", max_inflight_rows=32768,
+            model, gowalla_split, users, max_inflight_rows=32768
         )
         assert tight == roomy
 
 
 class TestManualPump:
-    @pytest.mark.parametrize("batching", ["inflight", "microbatch"])
     def test_replay_identical_under_manual_pump(
-        self, batching: str, gowalla_split: SplitDataset
+        self, gowalla_split: SplitDataset
     ) -> None:
         """The pump-driven loop replays exactly like the worker-driven one."""
         model = RecencyRecommender().fit(gowalla_split, SMALL_WINDOW)
         users = [0, 1]
         manual = replay_online(
-            model, gowalla_split, users, batching=batching, manual_pump=True
+            model, gowalla_split, users, manual_pump=True
         )
-        threaded = replay_online(
-            model, gowalla_split, users, batching=batching
-        )
+        threaded = replay_online(model, gowalla_split, users)
         assert manual == threaded
 
-    @pytest.mark.parametrize("batching", ["inflight", "microbatch"])
     def test_pump_drains_everything_submitted(
-        self, batching: str, gowalla_split: SplitDataset
+        self, gowalla_split: SplitDataset
     ) -> None:
         model = RecencyRecommender().fit(gowalla_split, SMALL_WINDOW)
         config = small_config(
-            n_items=gowalla_split.n_items, batching=batching, manual_pump=True
+            n_items=gowalla_split.n_items, manual_pump=True
         )
         with service_for_split(
             model, gowalla_split, config=config
@@ -155,14 +142,13 @@ class TestManualPump:
 
         Drives the engine one kernel at a time (check_interval=2) and
         submits new requests *between* boundaries, so later kernels run
-        against a packed buffer that has both retired earlier rows and
-        admitted new ones mid-flight — the exact schedule the
-        background worker produces under load.
+        while earlier requests have retired and new ones were admitted
+        mid-flight — the exact schedule the background worker produces
+        under load.
         """
         model = RecencyRecommender().fit(gowalla_split, SMALL_WINDOW)
         config = small_config(
             n_items=gowalla_split.n_items,
-            batching="inflight",
             check_interval=2,
             manual_pump=True,
         )
@@ -170,10 +156,9 @@ class TestManualPump:
             model, gowalla_split, config=config
         ) as service:
             engine = service._engine
-            assert engine is not None
             handles = [service.submit(user, k=K) for user in (0, 0, 0, 1, 1)]
             with service._pump_lock:
-                service._drain_submissions(engine)
+                service._drain_submissions()
                 assert engine.n_inflight == 5
                 # Boundary 1: two of user 0's requests retire early while
                 # the rest stay admitted.
@@ -183,18 +168,18 @@ class TestManualPump:
             # Mid-batch admission: a new user arrives between kernels.
             handles.append(service.submit(2, k=K))
             assert service.pump() == 4
-            assert engine.idle and len(engine.batch) == 0
-            # Every answer equals a fresh one-request-per-call reference.
-            with service_for_split(
-                model, gowalla_split, config=small_config(
-                    n_items=gowalla_split.n_items, batching="microbatch",
-                    max_batch=1, max_wait_ms=0.0,
-                )
-            ) as reference:
-                for pending in handles:
-                    result = pending.result(timeout=0.0)
-                    expected = reference.recommend(result.user, k=K)
-                    assert result.items == expected.items
+            assert engine.idle and engine.live_rows == 0
+            # Every answer equals the offline kernel on the same state
+            # (nothing was ingested, so each user's state is unchanged).
+            for pending in handles:
+                result = pending.result(timeout=0.0)
+                session = service.store.get(result.user)
+                assert result.t == session.t
+                query = Query(t=session.t, candidates=session.candidates())
+                expected = model.recommend_batch(
+                    session.sequence(), [query], K
+                )[0]
+                assert result.items == expected
 
     def test_recommend_pumps_in_manual_mode(
         self, gowalla_split: SplitDataset
@@ -265,10 +250,56 @@ class TestAccounting:
         assert snapshot["latency"]["admission_wait"]["count"] >= 5
         assert 0 < snapshot["mean_batch_size"] <= 64
 
+    def test_live_rows_track_admitted_requests(
+        self, gowalla_split: SplitDataset
+    ) -> None:
+        """Rows added on admit retire after every kernel, even a failed one."""
+
+        class Flaky(RecencyRecommender):
+            fail = False
+
+            def score_batch(self, sequence, queries):
+                if self.fail:
+                    raise RuntimeError("boom")
+                return super().score_batch(sequence, queries)
+
+        model = Flaky().fit(gowalla_split, SMALL_WINDOW)
+        config = small_config(
+            n_items=gowalla_split.n_items, check_interval=2, manual_pump=True
+        )
+        with service_for_split(
+            model, gowalla_split, config=config
+        ) as service:
+            engine = service._engine
+            for fail in (False, True):
+                model.fail = fail
+                handles = [
+                    service.submit(user, k=K) for user in (0, 0, 0, 1, 2)
+                ]
+                with service._pump_lock:
+                    service._drain_submissions()
+                    assert engine.live_rows == sum(
+                        len(pending.candidates) for pending in handles
+                    ) > 0
+                    while not engine.idle:
+                        engine.step()
+                        assert engine.live_rows == sum(
+                            len(pending.candidates)
+                            for queued in engine.queues.values()
+                            for pending in queued
+                        )
+                assert engine.live_rows == 0
+                for pending in handles:
+                    if fail:
+                        with pytest.raises(ServingError, match="boom"):
+                            pending.result(timeout=0.0)
+                    else:
+                        assert pending.result(timeout=0.0).items
+
     def test_config_validation(self) -> None:
-        with pytest.raises(ServingError, match="batching"):
-            ServiceConfig(batching="adaptive")
         with pytest.raises(ServingError, match="max_inflight_rows"):
             ServiceConfig(max_inflight_rows=0)
         with pytest.raises(ServingError, match="check_interval"):
             ServiceConfig(check_interval=0)
+        with pytest.raises(ServingError, match="admission_wait_ms"):
+            ServiceConfig(admission_wait_ms=-1.0)

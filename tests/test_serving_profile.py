@@ -25,7 +25,7 @@ from repro.models.base import Recommender
 from repro.models.recency import RecencyRecommender
 from repro.models.tsppr import TSPPRRecommender
 from repro.serving.cli import (
-    SERVE_KNOB_ARGS,
+    KNOB_ARGS,
     build_parser,
     resolve_knob_args,
 )
@@ -38,9 +38,6 @@ K = 10
 #: Deliberately non-default serving knobs a tune run might choose.
 TUNED_SERVING = {
     **defaults_for("serving"),
-    "batching": "microbatch",
-    "max_batch": 16,
-    "max_wait_ms": 0.5,
     "check_interval": 4,
     "max_inflight_rows": 4096,
     "capacity": 512,
@@ -73,9 +70,6 @@ def replay(
         window=SMALL_WINDOW,
         default_k=K,
         n_items=split.n_items,
-        batching=str(knobs["batching"]),
-        max_batch=int(knobs["max_batch"]),
-        max_wait_ms=float(knobs["max_wait_ms"]),
         check_interval=int(knobs["check_interval"]),
         max_inflight_rows=int(knobs["max_inflight_rows"]),
         admission_wait_ms=float(knobs["admission_wait_ms"]),
@@ -104,7 +98,7 @@ def knobs_via_profile(profile_path) -> Dict[str, object]:
     args = build_parser().parse_args(
         ["serve", "--profile", str(profile_path)]
     )
-    return values_of(resolve_knob_args(args, "serving", SERVE_KNOB_ARGS))
+    return values_of(resolve_knob_args(args, "serving", KNOB_ARGS))
 
 
 class TestServingBitIdentity:
@@ -138,19 +132,19 @@ class TestServingBitIdentity:
         self, profile_path, caplog
     ) -> None:
         args = build_parser().parse_args(
-            ["serve", "--profile", str(profile_path), "--max-batch", "32"]
+            ["serve", "--profile", str(profile_path), "--check-interval", "32"]
         )
         with caplog.at_level(logging.INFO, logger="repro.serving.cli"):
-            resolve_knob_args(args, "serving", SERVE_KNOB_ARGS)
+            resolve_knob_args(args, "serving", KNOB_ARGS)
         line = next(
             record.getMessage()
             for record in caplog.records
             if "resolved serving knobs" in record.getMessage()
         )
-        assert "max_batch=32(cli)" in line
-        assert "batching=microbatch(profile)" in line
+        assert "check_interval=32(cli)" in line
+        assert "max_inflight_rows=4096(profile)" in line
         assert str(profile_path) in line
-        for name in SERVE_KNOB_ARGS:
+        for name in KNOB_ARGS:
             assert f"{name}=" in line
 
 

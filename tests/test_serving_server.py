@@ -3,7 +3,7 @@
 Every test binds to an ephemeral port (``port=0``) so the suite can run
 in parallel and on busy machines. The server under test fronts a real
 :class:`RecommendService` over the Recency model, so these are true
-end-to-end round-trips: socket → handler → micro-batch queue → model →
+end-to-end round-trips: socket → handler → scoring queue → model →
 JSON reply.
 """
 

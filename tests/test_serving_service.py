@@ -3,9 +3,11 @@
 The acceptance bar for the serving layer: replaying a held-out event
 stream through :class:`RecommendService` must yield recommendation lists
 **array-identical** to the offline evaluation protocol (same model, same
-queries) — for TS-PPR, PPR, FPMC, and Recency — regardless of
-micro-batch shape. Deadlines degrade to the Recency baseline instead of
-failing, and the fallback itself is deterministic and well-defined.
+queries) — for TS-PPR, PPR, FPMC, and Recency — regardless of the
+scoring loop's batch shape. Deadlines degrade to the Recency baseline
+instead of failing, and the fallback itself is deterministic and
+well-defined. ``close()`` racing a submit or an ingest neither strands
+a request nor breaks an append.
 """
 
 from __future__ import annotations
@@ -126,15 +128,13 @@ class TestOnlineOfflineEquivalence:
     def test_batch_shape_does_not_matter(
         self, gowalla_split: SplitDataset
     ) -> None:
-        """max_batch=1 (naive) and max_batch=64 answer identically."""
+        """One query per model call (naive) and the defaults agree."""
         model = RecencyRecommender().fit(gowalla_split, SMALL_WINDOW)
         users = [0, 1, 2]
         naive = replay_online(
-            model, gowalla_split, users, max_batch=1, max_wait_ms=0.0
+            model, gowalla_split, users, check_interval=1, max_inflight_rows=1
         )
-        batched = replay_online(
-            model, gowalla_split, users, max_batch=64, max_wait_ms=2.0
-        )
+        batched = replay_online(model, gowalla_split, users)
         assert naive == batched
 
     def test_concurrent_submissions_are_isolated(
@@ -285,7 +285,7 @@ class TestDeadlines:
     ) -> None:
         """The model overruns mid-scoring: post-scoring fallback."""
         model = self.fit_slow(gowalla_split, delay_s=0.2)
-        config = small_config(n_items=gowalla_split.n_items, max_wait_ms=0.0)
+        config = small_config(n_items=gowalla_split.n_items)
         with service_for_split(model, gowalla_split, config=config) as service:
             expected = self.recency_reference(service, 0)
             result = service.recommend(0, k=K, deadline_ms=50.0)
@@ -370,10 +370,6 @@ class TestServiceEdges:
     def test_config_validation(self) -> None:
         with pytest.raises(ServingError, match="default_k"):
             ServiceConfig(default_k=0)
-        with pytest.raises(ServingError, match="max_batch"):
-            ServiceConfig(max_batch=0)
-        with pytest.raises(ServingError, match="max_wait_ms"):
-            ServiceConfig(max_wait_ms=-1.0)
         with pytest.raises(ServingError, match="default_deadline_ms"):
             ServiceConfig(default_deadline_ms=-5.0)
 
@@ -414,3 +410,97 @@ class TestServiceEdges:
         )
         assert snapshot["session_cache"]["misses"] == 1
         assert 0 < snapshot["mean_batch_size"] <= 64
+
+
+class _AnnouncingLock:
+    """Wraps the store lock; signals when ``thread_name`` starts acquiring."""
+
+    def __init__(self, lock, thread_name: str) -> None:
+        self._lock = lock
+        self._thread_name = thread_name
+        self.reached = threading.Event()
+
+    def __enter__(self):
+        if threading.current_thread().name == self._thread_name:
+            self.reached.set()
+        self._lock.acquire()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._lock.release()
+
+
+class TestCloseOrdering:
+    """close() racing a concurrent submit or ingest never strands it."""
+
+    def test_submit_racing_close_is_refused_not_stranded(
+        self, gowalla_split: SplitDataset
+    ) -> None:
+        model = RecencyRecommender().fit(gowalla_split, SMALL_WINDOW)
+        config = small_config(n_items=gowalla_split.n_items)
+        service = service_for_split(model, gowalla_split, config=config)
+        store = service.store
+        lock = _AnnouncingLock(store.lock, "racing-submit")
+        store._lock = lock
+        outcome = {}
+
+        def submit() -> None:
+            try:
+                outcome["handle"] = service.submit(0, k=K)
+            except ServingError as exc:
+                outcome["error"] = exc
+
+        submitter = threading.Thread(target=submit, name="racing-submit")
+        with store.lock:
+            submitter.start()
+            # The submit is now queued on the store lock, past any
+            # check made before it; close() runs to completion first.
+            assert lock.reached.wait(timeout=5.0)
+            service.close()
+        submitter.join(timeout=5.0)
+        assert not submitter.is_alive()
+        if "handle" in outcome:
+            # Accepted means answered: a stopped worker left it hanging.
+            assert outcome["handle"].result(timeout=2.0).items
+        assert "closed" in str(outcome.get("error")), outcome
+
+    def test_close_waits_for_an_ingest_mid_append(
+        self, tmp_path, gowalla_split: SplitDataset
+    ) -> None:
+        from repro.serving.events import EventLog
+
+        appending = threading.Event()
+
+        class SlowWrites:
+            def on_write(self) -> None:
+                appending.set()
+                time.sleep(0.3)
+
+        log = EventLog.open(tmp_path / "events.log", fault_injector=SlowWrites())
+        model = RecencyRecommender().fit(gowalla_split, SMALL_WINDOW)
+        config = small_config(n_items=gowalla_split.n_items)
+        service = service_for_split(
+            model, gowalla_split, event_log=log, config=config
+        )
+        outcome = {}
+
+        def ingest() -> None:
+            try:
+                outcome["position"] = service.ingest(0, 1)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                outcome["error"] = exc
+
+        writer = threading.Thread(target=ingest)
+        writer.start()
+        assert appending.wait(timeout=5.0)
+        service.close()
+        writer.join(timeout=5.0)
+        assert not writer.is_alive()
+        assert "error" not in outcome, outcome
+        # The append committed before the log sealed, and later ingests
+        # are refused with a typed error.
+        assert EventLog.open(tmp_path / "events.log", readonly=True).events_for(
+            0
+        ) == [1]
+        with pytest.raises(ServingError, match="closed"):
+            service.ingest(0, 2)

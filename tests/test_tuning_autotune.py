@@ -83,25 +83,22 @@ class TestEnumeration:
         assert len(keys) == len(set(keys))
         defaults = defaults_for("serving")
         for candidate in first:
-            if candidate["batching"] == "inflight":
-                # In-flight candidates never vary micro-batch knobs.
-                assert candidate["max_batch"] == defaults["max_batch"]
-                assert candidate["max_wait_ms"] == defaults["max_wait_ms"]
-            else:
-                assert candidate["check_interval"] == defaults["check_interval"]
-                assert (
-                    candidate["max_inflight_rows"]
-                    == defaults["max_inflight_rows"]
-                )
+            # Every candidate names exactly the registered knobs, and
+            # unsearched knobs stay at their defaults.
+            assert set(candidate) == set(defaults)
+            assert candidate["online"] == defaults["online"]
 
     def test_default_config_is_a_candidate(self) -> None:
         candidates = AutoTuner(subsystem="serving").enumerate_candidates()
         assert defaults_for("serving") in candidates
 
-    def test_cluster_candidates_have_no_microbatch_sizing(self) -> None:
-        for candidate in AutoTuner(subsystem="cluster").enumerate_candidates():
-            assert "max_batch" not in candidate
-            assert "max_wait_ms" not in candidate
+    def test_serving_and_cluster_enumerate_one_product(self) -> None:
+        # check_interval (3) x max_inflight_rows (3) x admission_wait_ms
+        # (2) x capacity (1) x store (2): one product, as for training.
+        serving = AutoTuner(subsystem="serving").enumerate_candidates()
+        cluster = AutoTuner(subsystem="cluster").enumerate_candidates()
+        assert len(serving) == len(cluster) == 36
+        assert serving == cluster
 
     def test_training_workers_capped_to_cores(self) -> None:
         tuner = AutoTuner(subsystem="training", probe=PROBE)
@@ -114,19 +111,12 @@ class TestEnumeration:
 
 
 class TestCostModel:
-    def test_microbatch_single_pays_straggler_wait(self) -> None:
-        model = CostModel(PROBE)
-        inflight = model.predict_serving(defaults_for("serving"), SHAPE)
-        micro = model.predict_serving(
-            {**defaults_for("serving"), "batching": "microbatch"}, SHAPE
-        )
-        assert micro.p50_ms > inflight.p50_ms
-
     def test_longer_wait_predicts_worse_tail(self) -> None:
         model = CostModel(PROBE)
-        base = {**defaults_for("serving"), "batching": "microbatch"}
-        fast = model.predict_serving({**base, "max_wait_ms": 0.5}, SHAPE)
-        slow = model.predict_serving({**base, "max_wait_ms": 10.0}, SHAPE)
+        base = defaults_for("serving")
+        fast = model.predict_serving({**base, "admission_wait_ms": 0.0}, SHAPE)
+        slow = model.predict_serving({**base, "admission_wait_ms": 1.0}, SHAPE)
+        assert slow.p50_ms > fast.p50_ms
         assert slow.p99_ms > fast.p99_ms
 
     def test_tiny_check_interval_repays_overhead(self) -> None:
@@ -163,12 +153,6 @@ class TestCostModel:
             {**base, "fit_workers": 4}, n_quadruples=50_000
         )
         assert tiny_team.p99_ms > tiny_solo.p99_ms
-
-    def test_unknown_batching_rejected(self) -> None:
-        with pytest.raises(TuningError, match="batching"):
-            CostModel(PROBE).predict_serving(
-                {**defaults_for("serving"), "batching": "warp"}, SHAPE
-            )
 
 
 class TestJournal:
@@ -301,10 +285,16 @@ class TestAutoTuner:
         assert worst_p99 == max(p.p99_ms for p in tuner.predictions.values())
 
     def test_predicted_ranking_prefers_inflight_defaults(self, tmp_path) -> None:
-        # Sanity: with this probe the model must rank some in-flight
-        # config above the 10ms-straggler micro-batch corner.
+        # Sanity: with this probe the model must rank the defaults above
+        # the small-chunk, gated corner (most kernels per burst, plus a
+        # poll on every calm single).
         tuner = self._tuner(tmp_path, FakeWorkload(), top_k=3)
         tuner.run()
         worst = tuner.worst_candidate()
-        assert worst["batching"] == "microbatch"
-        assert worst["max_wait_ms"] == 10.0
+        assert worst["check_interval"] == 4
+        assert worst["admission_wait_ms"] == 1.0
+        default_key = candidate_key(defaults_for("serving"))
+        assert (
+            tuner.predictions[default_key].p99_ms
+            < tuner.predictions[candidate_key(worst)].p99_ms
+        )

@@ -53,10 +53,10 @@ class TestRegistry:
         # stay import-light); this guard keeps the duplicate in sync.
         assert STORE_CHOICES == STORE_KINDS
 
-    def test_cluster_is_serving_minus_microbatch_sizing(self) -> None:
-        serving = set(knobs_for("serving"))
-        cluster = set(knobs_for("cluster"))
-        assert cluster == serving - {"max_batch", "max_wait_ms"}
+    def test_cluster_knobs_equal_serving_knobs(self) -> None:
+        # Every shard runs the single-node scoring loop.
+        assert set(knobs_for("cluster")) == set(knobs_for("serving"))
+        assert len(knobs_for("serving")) == 8
 
     def test_defaults_validate(self) -> None:
         for subsystem, name in ALL_KNOBS:
@@ -79,14 +79,14 @@ class TestRegistry:
     def test_out_of_range_rejected(self) -> None:
         with pytest.raises(TuningError, match="check_interval"):
             knob("serving", "check_interval").validate(0)
-        with pytest.raises(TuningError, match="max_wait_ms"):
-            knob("serving", "max_wait_ms").validate(-1.0)
-        with pytest.raises(TuningError, match="batching"):
-            knob("serving", "batching").validate("warp")
+        with pytest.raises(TuningError, match="admission_wait_ms"):
+            knob("serving", "admission_wait_ms").validate(-1.0)
+        with pytest.raises(TuningError, match="store"):
+            knob("serving", "store").validate("warp")
         with pytest.raises(TuningError, match="expects int"):
-            knob("serving", "max_batch").validate(2.5)
+            knob("serving", "check_interval").validate(2.5)
         with pytest.raises(TuningError, match="expects int"):
-            knob("serving", "max_batch").validate(True)
+            knob("serving", "check_interval").validate(True)
 
     def test_unknown_names_rejected(self) -> None:
         with pytest.raises(TuningError, match="unknown subsystem"):
@@ -121,10 +121,12 @@ class TestPrecedence:
 
     def test_none_cli_entry_falls_through(self) -> None:
         resolved = resolve(
-            "serving", cli={"max_batch": None}, profile={"max_batch": 256}
+            "serving",
+            cli={"check_interval": None},
+            profile={"check_interval": 64},
         )
-        assert resolved["max_batch"].value == 256
-        assert resolved["max_batch"].source == "profile"
+        assert resolved["check_interval"].value == 64
+        assert resolved["check_interval"].source == "profile"
 
     def test_unknown_layer_knob_rejected(self) -> None:
         with pytest.raises(TuningError, match="cli"):
@@ -137,9 +139,9 @@ class TestPrecedence:
             resolve("serving", profile={"check_interval": -5})
 
     def test_describe_names_every_knob_with_source(self) -> None:
-        resolved = resolve("serving", cli={"max_batch": 16})
+        resolved = resolve("serving", cli={"check_interval": 4})
         line = describe(resolved)
-        assert "max_batch=16(cli)" in line
+        assert "check_interval=4(cli)" in line
         for name in knobs_for("serving"):
             assert f"{name}=" in line
 
@@ -263,8 +265,8 @@ class TestProfileFile:
         profile = MachineProfile()
         with pytest.raises(TuningError, match="unknown knob"):
             profile.set_subsystem("serving", {"bogus": 1})
-        with pytest.raises(TuningError, match="max_batch"):
-            profile.set_subsystem("serving", {"max_batch": 0})
+        with pytest.raises(TuningError, match="check_interval"):
+            profile.set_subsystem("serving", {"check_interval": 0})
 
     def test_missing_subsystem_block_message(self, tmp_path) -> None:
         profile = MachineProfile()
