@@ -43,8 +43,36 @@ from repro.models.base import Recommender
 from repro.optim.kernels import fpmc_sequential_update
 from repro.optim.lasso import sigmoid_scalar
 from repro.optim.sgd import SGDResult, run_sgd
-from repro.rng import ensure_rng
+from repro.rng import Uint32Stream, ensure_rng
 from repro.windows.window import window_before
+
+
+def draw_pairs(
+    rng: np.random.Generator, k: int, n_positions: int, n_items: int
+) -> np.ndarray:
+    """``k`` S-BPR (position, negative) pairs, stream-exact.
+
+    S-BPR draws the negative *inside* each update, so a block pre-draw
+    must consume the rng exactly as ``k`` scalar
+    ``integers(n_positions)``, ``integers(n_items)`` pairs: same values,
+    same generator state after. Both bounds are fixed, so on PCG64 the
+    pairs are the bounded map of stream values ``2r`` and ``2r + 1``
+    (:class:`repro.rng.Uint32Stream`). The scalar loop runs instead on
+    a redraw, another bit generator, or a bound of 1.
+    """
+    stream = Uint32Stream.of(rng)
+    if stream is not None and min(n_positions, n_items) >= 2:
+        values = stream.peek(2 * k).reshape(k, 2)
+        pairs, rejected = stream.bounded(values, (n_positions, n_items))
+        if not rejected.any():
+            stream.commit(2 * k)
+            return pairs
+    pairs = np.empty((k, 2), dtype=np.int64)
+    integers = rng.integers
+    for r in range(k):
+        pairs[r, 0] = integers(n_positions)
+        pairs[r, 1] = integers(n_items)
+    return pairs
 
 
 class FPMCRecommender(Recommender):
@@ -171,19 +199,7 @@ class FPMCRecommender(Recommender):
             return int(rng.integers(users.size))
 
         def draw_block(k: int) -> np.ndarray:
-            """``k`` (position, negative) pairs, stream-exact.
-
-            S-BPR draws the negative *inside* each update, so the block
-            pre-draw must interleave position and negative draws per
-            entry to consume the rng in the scalar call sequence.
-            """
-            pairs = np.empty((k, 2), dtype=np.int64)
-            integers = rng.integers
-            n_positions = users.size
-            for r in range(k):
-                pairs[r, 0] = integers(n_positions)
-                pairs[r, 1] = integers(n_items)
-            return pairs
+            return draw_pairs(rng, k, users.size, n_items)
 
         # Block kernel, delegated to :mod:`repro.optim.kernels` so the
         # online trainer (``repro.online``) applies the exact same

@@ -325,13 +325,16 @@ class EventLog:
     def iter_events(self) -> Iterator[Event]:
         return iter(self._events)
 
-    def events_for(self, user: int) -> List[int]:
-        """The user's committed item stream in append order.
+    def events_for(self, user: int, start: int = 0) -> List[int]:
+        """The user's committed item stream in append order, from ``start``.
 
         This is the replay view :class:`~repro.serving.state.SessionStore`
-        rehydrates from.
+        rehydrates from. ``start`` skips the user's first ``start``
+        events without reading them, so a rebuild that already holds
+        them touches only the events it has not seen.
         """
-        return [self._events[index].item for index in self._by_user.get(user, [])]
+        indices = self._by_user.get(user, ())
+        return [self._events[index].item for index in indices[start:]]
 
     def users(self) -> List[int]:
         """Sorted users with at least one committed event."""

@@ -416,7 +416,7 @@ class RecommendService:
                 n_live = session.n_live_events
                 if client_seq < n_live:
                     committed = (
-                        self.event_log.events_for(user)[client_seq]
+                        self.event_log.events_for(user, client_seq)[0]
                         if self.event_log is not None
                         else None
                     )

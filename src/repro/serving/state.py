@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
@@ -293,11 +293,13 @@ class SessionStore:
         or a legacy callable fetching a user's base history on first
         access / rehydration.
     event_source:
-        Optional callable ``user -> iterable of item ids`` returning the
-        user's *logged live events* in append order (the event log's
-        per-user replay view). Rehydration replays them on top of the
-        base history, so eviction never loses state — provided every
-        live event was logged before it was applied.
+        Optional callable ``(user, start) -> iterable of item ids``
+        returning the user's *logged live events* in append order, from
+        the ``start``-th on (the event log's per-user replay view,
+        :meth:`~repro.serving.events.EventLog.events_for`). Rehydration
+        replays them on top of the base history, so eviction never loses
+        state — provided every live event was logged before it was
+        applied.
 
     All public methods are thread-safe (one lock; sessions are only
     mutated under it through :meth:`append`).
@@ -311,7 +313,7 @@ class SessionStore:
         history_provider: Optional[
             Union[HistoryProvider, HistoryStore]
         ] = None,
-        event_source: Optional[Callable[[int], List[int]]] = None,
+        event_source: Optional[Callable[[int, int], Iterable[int]]] = None,
     ) -> None:
         if capacity < 1:
             raise ServingError(f"capacity must be >= 1, got {capacity}")
@@ -383,9 +385,10 @@ class SessionStore:
         Over a :class:`HistoryStore` the "rebuild" is an O(window)
         re-seed — the store retained both base and live tail across
         eviction — and only WAL events the store has *not* seen yet
-        (``events[live_count:]``, i.e. a crash-restart gap) are
-        replayed. Over a legacy callable provider, the base history is
-        re-fetched and every logged live event replayed, as before.
+        (from ``live_count`` on, i.e. a crash-restart gap) are read and
+        replayed; a steady-state miss reads none. Over a legacy callable
+        provider, the base history is re-fetched and every logged live
+        event replayed, as before.
         """
         provider = self.history_provider
         if isinstance(provider, HistoryStore):
@@ -395,7 +398,7 @@ class SessionStore:
             replayed = 0
             if self.event_source is not None:
                 already_held = provider.live_count(user)
-                for item in self.event_source(user)[already_held:]:
+                for item in self.event_source(user, already_held):
                     session.append(item)
                     replayed += 1
             if replayed or provider.live_count(user):
@@ -409,7 +412,7 @@ class SessionStore:
         )
         if self.event_source is not None:
             replayed = 0
-            for item in self.event_source(user):
+            for item in self.event_source(user, 0):
                 session.append(item)
                 replayed += 1
             if replayed:

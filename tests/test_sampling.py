@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import SplitConfig, WindowConfig
 from repro.data.dataset import Dataset
 from repro.data.split import temporal_split
 from repro.exceptions import SamplingError
+from repro.models.fpmc import draw_pairs
+from repro.rng import Uint32Stream
 from repro.sampling.quadruples import (
+    QuadrupleSet,
     sample_quadruples,
     sample_quadruples_reference,
 )
@@ -174,6 +179,113 @@ class TestUserUniformSchedule:
             + mixed.draw_many(30).tolist()
         )
         assert got == expected
+
+
+def _quadruple_set(counts):
+    """A QuadrupleSet whose user ``u`` owns ``counts[u]`` consecutive rows."""
+    users = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    per_user = {
+        user: np.arange(start, start + count, dtype=np.int64)
+        for user, (start, count) in enumerate(zip(starts, counts))
+    }
+    return QuadrupleSet(users, users, users, users, per_user)
+
+
+def _prime(rng, prior):
+    for _ in range(prior):
+        rng.integers(5)  # one 32-bit value; an odd count buffers a half
+
+
+#: Per-user quadruple counts: single-quadruple users and one-user sets.
+COUNTS = st.one_of(
+    st.lists(st.integers(1, 4), min_size=1, max_size=40),
+    st.lists(st.integers(1, 300), min_size=1, max_size=500),
+    st.lists(st.integers(2, 30), min_size=1, max_size=60),
+    st.tuples(st.integers(1, 50)).map(list),
+)
+
+
+class TestStreamExactDraws:
+    """Block draws equal the scalar calls in values and generator state."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        counts=COUNTS,
+        n=st.one_of(st.sampled_from([0, 1, 2, 3, 17, 999, 1724]), st.integers(0, 64)),
+        prior=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draw_many_equals_scalar_draws(self, counts, n, prior, seed):
+        quadruples = _quadruple_set(counts)
+        scalar = UserUniformSchedule(quadruples, random_state=seed)
+        block = UserUniformSchedule(quadruples, random_state=seed)
+        _prime(scalar._rng, prior)
+        _prime(block._rng, prior)
+        expected = [scalar.draw() for _ in range(n)]
+        assert block.draw_many(n).tolist() == expected
+        assert block._rng.bit_generator.state == scalar._rng.bit_generator.state
+        assert block.draw() == scalar.draw()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_positions=st.integers(1, 5000),
+        n_items=st.integers(1, 5000),
+        k=st.one_of(st.sampled_from([0, 1, 2, 17, 1724]), st.integers(0, 64)),
+        prior=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fpmc_pairs_equal_scalar_pairs(self, n_positions, n_items, k, prior, seed):
+        scalar = np.random.default_rng(seed)
+        block = np.random.default_rng(seed)
+        _prime(scalar, prior)
+        _prime(block, prior)
+        expected = [
+            [int(scalar.integers(n_positions)), int(scalar.integers(n_items))]
+            for _ in range(k)
+        ]
+        pairs = draw_pairs(block, k, n_positions, n_items)
+        assert pairs.shape == (k, 2)
+        assert pairs.tolist() == expected
+        assert block.bit_generator.state == scalar.bit_generator.state
+
+    def test_other_bit_generators_fall_back_identically(self):
+        quadruples = _quadruple_set([1, 3, 2, 1, 5])
+        scalar = UserUniformSchedule(
+            quadruples, random_state=np.random.Generator(np.random.Philox(5))
+        )
+        block = UserUniformSchedule(
+            quadruples, random_state=np.random.Generator(np.random.Philox(5))
+        )
+        expected = [scalar.draw() for _ in range(300)]
+        assert block.draw_many(300).tolist() == expected
+        # Philox's state holds arrays; the next draws pin it instead.
+        assert block._rng.integers(2**62, size=4).tolist() == (
+            scalar._rng.integers(2**62, size=4).tolist()
+        )
+        philox = np.random.Generator(np.random.Philox(5))
+        twin = np.random.Generator(np.random.Philox(5))
+        expected_pairs = [
+            [int(twin.integers(9)), int(twin.integers(4))] for _ in range(50)
+        ]
+        assert draw_pairs(philox, 50, 9, 4).tolist() == expected_pairs
+
+    def test_rejected_block_falls_back_to_the_scalar_loop(self, monkeypatch):
+        # Flag every value as a redraw: draw_many must run the scalar
+        # loop from an unconsumed generator.
+        quadruples = _quadruple_set([2, 1, 4])
+        scalar = UserUniformSchedule(quadruples, random_state=3)
+        block = UserUniformSchedule(quadruples, random_state=3)
+        bounded = Uint32Stream.bounded
+
+        def always_reject(values, bounds):
+            draws, rejected = bounded(values, bounds)
+            return draws, np.ones_like(rejected)
+
+        monkeypatch.setattr(Uint32Stream, "bounded", staticmethod(always_reject))
+        expected = [scalar.draw() for _ in range(40)]
+        assert block.draw_many(40).tolist() == expected
+        assert block._rng.bit_generator.state == scalar._rng.bit_generator.state
 
 
 class TestSmallBatchIndices:

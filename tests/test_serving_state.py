@@ -21,6 +21,7 @@ from repro.data.sequence import ConsumptionSequence
 from repro.data.split import SplitDataset
 from repro.engine.session import ScoringSession
 from repro.exceptions import DataError, ServingError
+from repro.serving.events import EventLog
 from repro.serving.state import LiveSession, SessionStore
 
 
@@ -199,8 +200,8 @@ class TestSessionStore:
         """Evict a user with live events; rehydration must replay them."""
         logged = {}
 
-        def event_source(user):
-            return list(logged.get(user, []))
+        def event_source(user, start):
+            return list(logged.get(user, []))[start:]
 
         store = self.make_store(gowalla_split, event_source=event_source)
         user = 0
@@ -221,7 +222,7 @@ class TestSessionStore:
     def test_rehydration_without_events_is_cold_build(
         self, gowalla_split: SplitDataset
     ) -> None:
-        store = self.make_store(gowalla_split, event_source=lambda user: [])
+        store = self.make_store(gowalla_split, event_source=lambda user, start: [])
         fingerprint = store.state_fingerprint(0)
         store.evict(0)
         assert store.state_fingerprint(0) == fingerprint
@@ -239,6 +240,80 @@ class TestSessionStore:
         assert counters["hits"] == 1
         assert counters["misses"] == 1
         assert counters["hit_rate"] == pytest.approx(0.5)
+
+
+class _CountingList(list):
+    """A list that counts element reads (a spy on the WAL's records)."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+class TestWALRehydration:
+    """Rebuilds over a HistoryStore read only WAL events the store lacks."""
+
+    def make_store(self, split: SplitDataset, log: EventLog) -> SessionStore:
+        return SessionStore(
+            SMALL_WINDOW.window_size,
+            SMALL_WINDOW.min_gap,
+            capacity=1,
+            history_provider=split.history_store(kind="arena", base="train"),
+            event_source=log.events_for,
+        )
+
+    def test_steady_state_miss_reads_no_wal_events(
+        self, gowalla_split: SplitDataset, tmp_path, monkeypatch
+    ) -> None:
+        log = EventLog.open(tmp_path / "events.log")
+        store = self.make_store(gowalla_split, log)
+        user = 0
+        store.get(user)  # materialize before logging (WAL contract)
+        for item in (3, 5, 3, 7):
+            log.append(user, item)
+            store.append(user, item)
+        digest = store.state_fingerprint(user)
+        spy = _CountingList(log._events)
+        monkeypatch.setattr(log, "_events", spy)
+        for other in (1, 2, 3):
+            store.get(other)  # capacity 1: each evicts the user
+            assert store.state_fingerprint(user) == digest
+        assert spy.reads == 0
+        assert store.counters.misses >= 7
+        log.close()
+
+    def test_crash_gap_replays_only_unseen_events(
+        self, gowalla_split: SplitDataset, tmp_path, monkeypatch
+    ) -> None:
+        log = EventLog.open(tmp_path / "events.log")
+        store = self.make_store(gowalla_split, log)
+        user = 0
+        store.get(user)
+        for item in (3, 5):
+            log.append(user, item)
+            store.append(user, item)
+        # Logged but never applied: the gap a crash between the WAL
+        # write and the session update leaves behind.
+        for item in (7, 3, 9):
+            log.append(user, item)
+        spy = _CountingList(log._events)
+        monkeypatch.setattr(log, "_events", spy)
+        store.get(1)  # evicts the user
+        rebuilt = store.get(user)
+        assert spy.reads == 3
+        assert rebuilt.n_live_events == 5
+        direct = LiveSession(
+            user,
+            SMALL_WINDOW.window_size,
+            SMALL_WINDOW.min_gap,
+            history=gowalla_split.train_sequence(user),
+        )
+        for item in (3, 5, 7, 3, 9):
+            direct.append(item)
+        assert rebuilt.state_fingerprint() == direct.state_fingerprint()
+        log.close()
 
 
 def test_fingerprint_matches_scoring_session(

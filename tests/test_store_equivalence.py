@@ -264,9 +264,9 @@ class TestEvictionRehydration:
         provider = gowalla_split.history_store(kind="arena", base="train")
         calls = []
 
-        def event_source(user: int):
+        def event_source(user: int, start: int):
             calls.append(user)
-            return [1, 2, 3] if user == 0 else []
+            return ([1, 2, 3] if user == 0 else [])[start:]
 
         store = SessionStore(
             SMALL_WINDOW.window_size,

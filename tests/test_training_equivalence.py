@@ -12,11 +12,15 @@ batched-numpy identities the block kernels rely on.
 import numpy as np
 import pytest
 
-from repro.config import TSPPRConfig, WindowConfig
+from repro.config import SplitConfig, TSPPRConfig, WindowConfig
+from repro.data.dataset import Dataset
+from repro.data.split import temporal_split
 from repro.models.fpmc import FPMCRecommender
 from repro.models.ppr import PPRRecommender
 from repro.models.tsppr import TSPPRRecommender
 from repro.optim.lasso import sigmoid
+from repro.resilience.faults import FaultInjected, FaultInjector
+from repro.sampling.quadruples import sample_quadruples
 
 WINDOW = WindowConfig(window_size=10, min_gap=2)
 
@@ -159,3 +163,96 @@ class TestBaselineEquivalence:
             scalar.basket_item_factors_, vectorized.basket_item_factors_
         )
         assert scalar.sgd_result_ == vectorized.sgd_result_
+
+
+@pytest.fixture(scope="module")
+def single_quadruple_split():
+    """Cyclic users plus one user who owns exactly one quadruple.
+
+    The last user's only repeat is item 21 at t=4, whose window leaves a
+    single eligible negative (20). Its ``integers(1)`` row draw consumes
+    nothing, so the block draw's position chain takes one-step hops.
+    """
+    users = [
+        list(range(6)) * 12,
+        [7, 8, 9, 10, 11] * 15,
+        list(range(3, 11)) * 9,
+        [20, 21, 22, 23, 21, 24, 25, 26, 27, 28, 29, 30],
+    ]
+    split = temporal_split(
+        Dataset.from_user_items(users),
+        SplitConfig(train_fraction=0.75, min_train_length=1),
+    )
+    quadruples = sample_quadruples(
+        split, WINDOW, TSPPRConfig().n_negative_samples, random_state=0
+    )
+    counts = sorted(rows.size for rows in quadruples.per_user.values())
+    assert counts[0] == 1 and counts[1] >= 2
+    return split
+
+
+class TestSingleQuadrupleUser:
+    """The exact block draw against the scalar engine, chain walk included."""
+
+    def test_tsppr_bit_identical(self, single_quadruple_split):
+        scalar, vectorized = _fit_pair(
+            lambda engine: TSPPRRecommender(
+                TSPPRConfig(
+                    max_epochs=4000,
+                    seed=31,
+                    convergence_tol=1e-12,
+                    training_engine=engine,
+                )
+            ),
+            single_quadruple_split,
+        )
+        _assert_tsppr_equal(scalar, vectorized)
+
+    def test_fpmc_bit_identical(self, single_quadruple_split):
+        scalar, vectorized = _fit_pair(
+            lambda engine: FPMCRecommender(
+                TSPPRConfig(
+                    max_epochs=4000,
+                    seed=32,
+                    convergence_tol=1e-12,
+                    training_engine=engine,
+                )
+            ),
+            single_quadruple_split,
+        )
+        assert scalar.sgd_result_.n_updates > 1000
+        for name in (
+            "user_factors_",
+            "item_user_factors_",
+            "item_basket_factors_",
+            "basket_item_factors_",
+        ):
+            assert np.array_equal(getattr(scalar, name), getattr(vectorized, name))
+        assert scalar.sgd_result_ == vectorized.sgd_result_
+
+    def test_tsppr_block_mode_resume_bit_identical(
+        self, single_quadruple_split, tmp_path
+    ):
+        # The checkpoint stores the generator state the exact draw
+        # committed, buffered 32-bit half included.
+        config = TSPPRConfig(
+            max_epochs=4000,
+            seed=33,
+            convergence_tol=1e-12,
+            training_engine="vectorized",
+        )
+        reference = TSPPRRecommender(config).fit(single_quadruple_split, WINDOW)
+        crash_at = reference.sgd_result_.n_updates // 2
+        with pytest.raises(FaultInjected):
+            TSPPRRecommender(config).fit(
+                single_quadruple_split,
+                WINDOW,
+                checkpoint_dir=tmp_path,
+                checkpoint_every=1,
+                fault_injector=FaultInjector(crash_at_update=crash_at),
+            )
+        assert list(tmp_path.glob("ckpt-*.json")), "crash left no checkpoint"
+        resumed = TSPPRRecommender(config).fit(
+            single_quadruple_split, WINDOW, checkpoint_dir=tmp_path
+        )
+        _assert_tsppr_equal(reference, resumed)
