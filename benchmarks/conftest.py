@@ -26,9 +26,9 @@ import pytest
 
 from repro.experiments.common import FAST_SCALE
 from repro.experiments.registry import run_experiment
-# The arrival-process toolbox moved into the library so the autotuner's
-# measured validation paces candidates exactly as the benches do; the
-# name is re-exported here because the benches (and their history) use it.
+# The arrival-process toolbox lives in the library (perfbench's
+# serve_burst paces with it too); the name is re-exported here because
+# the benches (and their history) use it.
 from repro.tuning.load import LoadGenerator
 
 __all__ = ["LoadGenerator"]

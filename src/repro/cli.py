@@ -9,7 +9,6 @@ Usage::
     repro-experiments run all --journal runs/journal.json --resume
     repro-experiments serve --model recency --event-log runs/events.log
     repro-experiments replay --event-log runs/events.log
-    repro-experiments tune serving --out profile.json --budget-s 60
 
 ``run all`` executes every registered table/figure in id order and
 concatenates the rendered outputs — the full EXPERIMENTS.md evidence run.
@@ -54,7 +53,6 @@ from repro.serving.cli import (
     run_replay,
     run_serve,
 )
-from repro.tuning.cli import add_tune_arguments, run_tune
 
 logger = get_logger("cli")
 
@@ -89,11 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         "cluster", help="run the sharded serving cluster behind one router"
     )
     add_cluster_arguments(cluster_parser)
-    tune_parser = subparsers.add_parser(
-        "tune",
-        help="autotune serving/cluster/training knobs into a machine profile",
-    )
-    add_tune_arguments(tune_parser)
 
     run_parser = subparsers.add_parser("run", help="run one experiment (or 'all')")
     run_parser.add_argument(
@@ -287,8 +280,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return run_replay(args)
     if args.command == "cluster":
         return run_cluster(args)
-    if args.command == "tune":
-        return run_tune(args)
 
     if args.resume and args.journal is None:
         parser.error("--resume requires --journal")

@@ -61,13 +61,12 @@ class ExperimentError(ReproError):
 
 
 class TuningError(ReproError):
-    """A knob, machine profile, or autotune run is invalid.
+    """A knob name or value is invalid.
 
-    Raised when a knob value falls outside its registered range, when a
-    machine-profile file is malformed / stale-versioned / checksum-torn,
-    or when a tune journal cannot be resumed — always at *load* time, so
-    a bad profile fails the server at startup with a typed error instead
-    of crashing mid-serve.
+    Raised when a knob is unknown to the registry or its value falls
+    outside the registered type or range — always at startup, so a bad
+    flag fails the server with a typed error instead of crashing
+    mid-serve.
     """
 
 

@@ -7,20 +7,13 @@ batched — :meth:`Recommender.score_batch` and
 :meth:`Recommender.recommend_batch` take a whole list of
 :class:`~repro.engine.query.Query` objects for one user, letting models
 amortize window and feature state across positions through a
-:class:`~repro.engine.session.ScoringSession`. The single-query
-:meth:`score` / :meth:`recommend` remain as thin compatibility wrappers.
+:class:`~repro.engine.session.ScoringSession`. :meth:`score_batch` is
+the one scoring method a model must implement; the single-query
+:meth:`score` / :meth:`recommend` are thin one-query wrappers over it.
 
-Implementors override **either** method family:
-
-* override :meth:`score_batch` for the fast path — the base
-  :meth:`score` then routes a one-query batch through it;
-* or override only :meth:`score` — the base :meth:`score_batch` falls
-  back to a per-query loop and emits a one-time :class:`DeprecationWarning`
-  (the per-query path stays correct but misses the engine's batching).
-
-All bundled models override both: ``score`` keeps the seed's scalar
-reference implementation and ``score_batch`` the vectorized kernel; the
-equivalence suite asserts the two agree bit-identically.
+All bundled models also override :meth:`score`: it keeps the seed's
+scalar reference implementation next to the vectorized ``score_batch``
+kernel, and the equivalence suite asserts the two agree bit-identically.
 
 Scores are "higher means more likely to be the reconsumption at ``t``";
 ranking takes the deterministic top-k (candidate order breaks ties, and
@@ -30,10 +23,9 @@ protocol, so runs are reproducible).
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import List, Optional, Sequence, Set, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -44,11 +36,9 @@ from repro.engine.query import Query
 from repro.exceptions import EvaluationError, NotFittedError
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.faults import FaultInjector
+from repro.tuning.defaults import resolve
 
 __all__ = ["Query", "Recommender", "rank_top_k"]
-
-#: Classes already warned about their per-query score_batch fallback.
-_FALLBACK_WARNED: Set[type] = set()
 
 
 def rank_top_k(
@@ -93,7 +83,6 @@ class Recommender(ABC):
         self._checkpoint_manager: Optional[CheckpointManager] = None
         self._fault_injector: Optional[FaultInjector] = None
         self._fit_workers = 1
-        self._sgd_block: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Fitting
@@ -107,8 +96,6 @@ class Recommender(ABC):
         checkpoint_every: int = 1,
         fault_injector: Optional[FaultInjector] = None,
         fit_workers: Optional[int] = None,
-        sgd_block: Optional[int] = None,
-        profile: Optional[Union[str, Path, "object"]] = None,
     ) -> "Recommender":
         """Fit on the training prefixes of ``split``.
 
@@ -130,34 +117,15 @@ class Recommender(ABC):
             Worker processes for the parallelizable parts of training
             (currently the feature-cache build). Results are
             bit-identical at any worker count; models without a
-            feature cache ignore it. ``None`` defers to the profile
-            (when given), else the registry default.
-        sgd_block:
-            Cap on updates per block-SGD kernel call (see
-            :func:`repro.optim.sgd.run_sgd`); results are bit-identical
-            at any block size. ``None`` defers to the profile, else
-            unbounded; 0 also means unbounded.
-        profile:
-            A machine profile (path or
-            :class:`~repro.tuning.profile.MachineProfile`) written by
-            ``repro-experiments tune training``. Fills any training
-            knob not explicitly passed — precedence is explicit
-            argument > profile > registry default — and logs the
-            resolved values.
+            feature cache ignore it. ``None`` means the registry
+            default; a value outside the registered range raises
+            :class:`~repro.exceptions.TuningError`.
         """
         window = window or WindowConfig()
-        resolved_workers, resolved_block = self._resolve_training_knobs(
-            fit_workers, sgd_block, profile
-        )
-        fit_workers = resolved_workers
-        if fit_workers < 1:
-            raise EvaluationError(
-                f"fit_workers must be positive, got {fit_workers}"
-            )
+        resolved = resolve("training", cli={"fit_workers": fit_workers})
         self._window_config = window
         self._fault_injector = fault_injector
-        self._fit_workers = fit_workers
-        self._sgd_block = resolved_block or None
+        self._fit_workers = int(resolved["fit_workers"].value)  # type: ignore[arg-type]
         self._checkpoint_manager = None
         if checkpoint_dir is not None:
             self._checkpoint_manager = CheckpointManager(
@@ -168,40 +136,6 @@ class Recommender(ABC):
         self._fit(split, window)
         self._fitted = True
         return self
-
-    @staticmethod
-    def _resolve_training_knobs(
-        fit_workers: Optional[int],
-        sgd_block: Optional[int],
-        profile: Optional[Union[str, Path, "object"]],
-    ) -> "tuple[int, int]":
-        """Resolve training knobs: explicit argument > profile > default.
-
-        Imports lazily so models stay importable without the tuning
-        stack and a plain ``fit()`` pays nothing for it.
-        """
-        from repro.tuning.defaults import describe, resolve, values_of
-        from repro.tuning.profile import load_profile_knobs
-
-        explicit = {"fit_workers": fit_workers, "sgd_block": sgd_block}
-        profile_knobs = (
-            load_profile_knobs(profile, "training")
-            if profile is not None
-            else {}
-        )
-        resolved = resolve(
-            "training",
-            cli={k: v for k, v in explicit.items() if v is not None},
-            profile=profile_knobs,
-        )
-        if profile is not None:
-            from repro.logging_utils import get_logger
-
-            get_logger("models.base").info(
-                "resolved training knobs: %s", describe(resolved)
-            )
-        values = values_of(resolved)
-        return int(values["fit_workers"]), int(values["sgd_block"])  # type: ignore[arg-type]
 
     @abstractmethod
     def _fit(self, split: SplitDataset, window: WindowConfig) -> None:
@@ -236,17 +170,13 @@ class Recommender(ABC):
         only consult positions ``< t``.
 
         The default routes a single-query batch through
-        :meth:`score_batch`; models overriding only this method get the
-        per-query fallback there.
+        :meth:`score_batch`.
         """
-        if type(self).score_batch is Recommender.score_batch:
-            raise NotImplementedError(
-                f"{type(self).__name__} must override score or score_batch"
-            )
         return self.score_batch(
             sequence, (Query(t=t, candidates=tuple(candidates)),)
         )[0]
 
+    @abstractmethod
     def score_batch(
         self,
         sequence: ConsumptionSequence,
@@ -262,29 +192,7 @@ class Recommender(ABC):
         arrive in any ``t`` order (kernels visit them time-sorted and
         restore input order); the evaluation protocol always sends them
         ascending.
-
-        The default falls back to one :meth:`score` call per query and
-        warns once per class that the model predates the batch API.
         """
-        if type(self).score is Recommender.score:
-            raise NotImplementedError(
-                f"{type(self).__name__} must override score or score_batch"
-            )
-        cls = type(self)
-        if cls not in _FALLBACK_WARNED:
-            _FALLBACK_WARNED.add(cls)
-            warnings.warn(
-                f"{cls.__name__} only implements per-query score(); "
-                f"score_batch() is falling back to a per-query loop. "
-                f"Override score_batch() for batched scoring — the "
-                f"per-query-only interface is deprecated.",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return [
-            self.score(sequence, list(query.candidates), query.t)
-            for query in queries
-        ]
 
     # ------------------------------------------------------------------
     # Recommendation

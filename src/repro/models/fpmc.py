@@ -257,7 +257,6 @@ class FPMCRecommender(Recommender):
             set_state=set_state,
             rng=rng,
             fault_injector=self._fault_injector,
-            block_size=self._sgd_block if use_block else None,
         )
 
     def score(

@@ -141,7 +141,6 @@ class PPRRecommender(Recommender):
             set_state=set_state,
             rng=rng,
             fault_injector=self._fault_injector,
-            block_size=self._sgd_block if use_block else None,
         )
 
     def score(

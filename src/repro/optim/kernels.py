@@ -17,8 +17,8 @@ and ``tests/test_online_trainer.py``):
   applying its updates one at a time, while conflicting pairs keep
   their order. A direct consequence: *how a stream of updates is cut
   into blocks cannot change a single bit of the final parameters*,
-  which is what makes the online trainer's flush cadence (and the
-  ``sgd_block`` knob) a pure throughput choice.
+  which is what makes the online trainer's flush cadence a pure
+  throughput choice.
 * :func:`tsppr_shared_update` (shared-mapping ablation: every update
   conflicts through ``A``) and :func:`fpmc_sequential_update` (basket
   rows overlap unpredictably, outside what ``dependency_batches``

@@ -86,7 +86,6 @@ def run_sgd(
     set_state: Optional[Callable[[Dict[str, np.ndarray]], None]] = None,
     rng: Optional[np.random.Generator] = None,
     fault_injector: Optional[FaultInjector] = None,
-    block_size: Optional[int] = None,
 ) -> SGDResult:
     """Run SGD until the margin stabilizes or the budget is exhausted.
 
@@ -102,7 +101,8 @@ def run_sgd(
         call sequence ``k`` scalar draws would) and ``apply_block``
         applies them in order with a vectorized kernel that must be
         bit-identical to ``k`` ``apply_update`` calls. When both are
-        given the loop runs whole check-interval blocks through them;
+        given the loop runs each check interval as one block — one
+        ``draw_block`` and one ``apply_block`` call;
         ``draw_index``/``apply_update`` may then be ``None``. Blocks
         never cross a convergence-check boundary, so margin history and
         checkpoint cadence are identical in either mode.
@@ -135,16 +135,6 @@ def run_sgd(
         count, and because recovery always replays from the last
         check-boundary checkpoint, resume results are bit-identical to
         the scalar path either way.
-    block_size:
-        Block mode only: cap on updates per ``apply_block`` kernel call.
-        A check interval larger than this is split into consecutive
-        chunks (``None``/0 keeps one whole interval per call). Because
-        ``draw_block`` is stream-exact, chunked draws consume the rng in
-        the same sequence one big draw would, and chunks never cross a
-        convergence-check boundary — results are bit-identical at any
-        block size. This is the ``training.sgd_block`` autotuner knob:
-        it trades per-call kernel overhead against the peak working set
-        of one vectorized block.
     """
     if max_updates <= 0:
         raise ValueError(f"max_updates must be positive, got {max_updates}")
@@ -163,11 +153,6 @@ def run_sgd(
         raise ValueError(
             "checkpointing requires both get_state and set_state callables"
         )
-    if block_size is not None and block_size < 0:
-        raise ValueError(f"block_size must be >= 0, got {block_size}")
-    chunk_cap = block_size if block_size else None
-    if chunk_cap is not None and not use_block:
-        raise ValueError("block_size requires block mode (draw/apply_block)")
 
     monitor = ConvergenceMonitor(tol=tol, patience=patience)
     n_updates = 0
@@ -215,15 +200,7 @@ def run_sgd(
             if fault_injector is not None:
                 for _ in range(block):
                     fault_injector.on_update()
-            # Chunking within the interval is stream-exact: consecutive
-            # draw_block calls consume the rng exactly as one big call.
-            remaining = block
-            while remaining > 0:
-                chunk = (
-                    remaining if chunk_cap is None else min(chunk_cap, remaining)
-                )
-                apply_block(draw_block(chunk))
-                remaining -= chunk
+            apply_block(draw_block(block))
         else:
             for _ in range(block):
                 if fault_injector is not None:

@@ -47,7 +47,6 @@ from repro.serving.state import SessionStore
 from repro.synth.gowalla import generate_gowalla
 from repro.synth.lastfm import generate_lastfm
 from repro.tuning.defaults import ResolvedKnob, describe, knob, resolve, values_of
-from repro.tuning.profile import load_profile_knobs
 
 logger = get_logger("serving.cli")
 
@@ -62,7 +61,6 @@ DATASET_CHOICES = ("gowalla", "lastfm")
 KNOB_ARGS = (
     "check_interval",
     "max_inflight_rows",
-    "admission_wait_ms",
     "capacity",
     "store",
     "online",
@@ -108,48 +106,22 @@ def _knob_flag_help(name: str) -> str:
     return f"{entry.help} (default: {entry.default})"
 
 
-def add_profile_argument(parser: argparse.ArgumentParser) -> None:
-    """``--profile``: load tuned knob values written by the autotuner."""
-    parser.add_argument(
-        "--profile",
-        type=Path,
-        default=None,
-        help="machine profile written by 'repro-experiments tune'; knob "
-        "precedence is CLI flag > profile > built-in default, and every "
-        "resolved knob is logged with its provenance at startup",
-    )
-
-
 def resolve_knob_args(
-    args: argparse.Namespace,
-    subsystem: str,
-    names: Sequence[str],
-    required: bool = True,
+    args: argparse.Namespace, subsystem: str, names: Sequence[str]
 ) -> "dict[str, ResolvedKnob]":
-    """Resolve a subcommand's knob flags against its profile (if any).
+    """Resolve a subcommand's knob flags against the registry defaults.
 
     ``names`` lists the argparse dests (== knob names) the subcommand
     exposes; their parser defaults are ``None`` sentinels, so only knobs
-    the user explicitly set override the profile.
+    the user explicitly set are logged as ``(cli)``.
     """
     cli = {
         name: getattr(args, name)
         for name in names
         if getattr(args, name, None) is not None
     }
-    profile_path = getattr(args, "profile", None)
-    profile_knobs = (
-        load_profile_knobs(profile_path, subsystem, required=required)
-        if profile_path is not None
-        else {}
-    )
-    resolved = resolve(subsystem, cli=cli, profile=profile_knobs)
-    logger.info(
-        "resolved %s knobs%s: %s",
-        subsystem,
-        f" (profile {profile_path})" if profile_path is not None else "",
-        describe(resolved),
-    )
+    resolved = resolve(subsystem, cli=cli)
+    logger.info("resolved %s knobs: %s", subsystem, describe(resolved))
     return resolved
 
 
@@ -220,12 +192,6 @@ def add_scoring_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=_knob_flag_help("max_inflight_rows"),
     )
-    parser.add_argument(
-        "--admission-wait-ms",
-        type=float,
-        default=None,
-        help=_knob_flag_help("admission_wait_ms"),
-    )
 
 
 def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
@@ -261,7 +227,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     add_store_arguments(parser)
     add_scoring_arguments(parser)
     add_online_arguments(parser, include_checkpoint_dir=True)
-    add_profile_argument(parser)
     parser.add_argument(
         "--deadline-ms",
         type=float,
@@ -343,7 +308,6 @@ def add_cluster_arguments(parser: argparse.ArgumentParser) -> None:
     # up by replaying its shard WAL, which recovery already guarantees
     # rebuilds session state — and now factors — bit-identically.
     add_online_arguments(parser)
-    add_profile_argument(parser)
     parser.add_argument(
         "--heartbeat-interval",
         type=float,
@@ -398,7 +362,6 @@ def add_replay_arguments(parser: argparse.ArgumentParser) -> None:
         default=3000,
         help="training budget for the --online isgd model rebuild",
     )
-    add_profile_argument(parser)
     parser.add_argument(
         "--user",
         type=int,
@@ -442,7 +405,6 @@ def service_config(
         default_deadline_ms=deadline_ms,
         check_interval=int(knobs["check_interval"]),  # type: ignore[arg-type]
         max_inflight_rows=int(knobs["max_inflight_rows"]),  # type: ignore[arg-type]
-        admission_wait_ms=float(knobs["admission_wait_ms"]),  # type: ignore[arg-type]
         n_items=n_items,
         online=str(knobs["online"]),
         online_lr=float(knobs["online_lr"]),  # type: ignore[arg-type]
@@ -546,9 +508,7 @@ def run_replay_online(args: argparse.Namespace) -> int:
     """
     from repro.online.trainer import OnlineTrainer
 
-    resolved = resolve_knob_args(
-        args, "serving", ("online_lr", "online_batch"), required=False
-    )
+    resolved = resolve_knob_args(args, "serving", ("online_lr", "online_batch"))
     split = build_split(args.dataset, args.seed)
     model = build_model(args.model, split, args.max_epochs, args.seed)
     trainer = OnlineTrainer(
@@ -603,9 +563,7 @@ def run_replay(args: argparse.Namespace) -> int:
     online = args.online if args.online is not None else "off"
     if online != "off":
         return run_replay_online(args)
-    resolved = resolve_knob_args(
-        args, "serving", ("store",), required=False
-    )
+    resolved = resolve_knob_args(args, "serving", ("store",))
     log = EventLog.open(args.event_log, readonly=True)
     split = build_split(args.dataset, args.seed)
     provider = split.history_store(

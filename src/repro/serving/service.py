@@ -79,20 +79,6 @@ class ServiceConfig:
         The RRC protocol parameters sessions are built with.
     default_k:
         Top-N size when a request does not specify one.
-    admission_wait_ms:
-        Upper bound of an optional *growth-gated* admission wait at the
-        start of a busy period. When positive,
-        the loop keeps admitting while the backlog is still growing (a
-        burst arriving over the submitters' milliseconds coalesces into
-        full per-user kernels instead of fragmenting) but stops the
-        moment one poll sees no growth — so a lone calm-phase request
-        waits about one poll (~0.5ms), never this bound. The default 0
-        disables the gate entirely: the first request starts scoring
-        immediately and the kernel's own duration coalesces the rest of
-        a burst at the next boundary, which measures faster at every
-        percentile unless kernels are much shorter than a burst's
-        arrival spread. Once kernels are running, boundaries admit
-        continuously with no waiting in either setting.
     max_inflight_rows:
         Admission-control bound on the total candidate rows of the
         admitted requests. Requests beyond it wait in the overflow
@@ -128,7 +114,6 @@ class ServiceConfig:
 
     window: WindowConfig = field(default_factory=WindowConfig)
     default_k: int = 10
-    admission_wait_ms: float = float(_KNOB_DEFAULTS["admission_wait_ms"])  # type: ignore[arg-type]
     max_inflight_rows: int = int(_KNOB_DEFAULTS["max_inflight_rows"])  # type: ignore[arg-type]
     check_interval: int = int(_KNOB_DEFAULTS["check_interval"])  # type: ignore[arg-type]
     manual_pump: bool = False
@@ -152,11 +137,6 @@ class ServiceConfig:
         if self.online_batch < 1:
             raise ServingError(
                 f"online_batch must be >= 1, got {self.online_batch}"
-            )
-        if self.admission_wait_ms < 0:
-            raise ServingError(
-                f"admission_wait_ms must be non-negative, got "
-                f"{self.admission_wait_ms}"
             )
         if self.max_inflight_rows < 1:
             raise ServingError(
@@ -255,9 +235,6 @@ class _PendingRequest:
 #: Queue sentinel telling the scoring worker to exit.
 _SHUTDOWN = object()
 
-#: Poll period of the in-flight loop's growth-gated admission wait.
-_COALESCE_POLL_S = 5e-4
-
 
 class RecommendService:
     """Live recommendation service over a fitted recommender.
@@ -352,13 +329,12 @@ class RecommendService:
             self._worker.start()
         logger.info(
             "service started: model=%s window=(%d, %d) check_interval=%d "
-            "max_inflight_rows=%d admission_wait_ms=%.1f",
+            "max_inflight_rows=%d",
             model.name or type(model).__name__,
             config.window.window_size,
             config.window.min_gap,
             config.check_interval,
             config.max_inflight_rows,
-            config.admission_wait_ms,
         )
 
     # ------------------------------------------------------------------
@@ -593,7 +569,6 @@ class RecommendService:
     # ------------------------------------------------------------------
     def _inflight_loop(self) -> None:
         engine = self._engine
-        max_wait = self.config.admission_wait_ms / 1e3
         stop = False
         while True:
             if not stop and engine.idle:
@@ -606,7 +581,6 @@ class RecommendService:
                 else:
                     with self._pump_lock:
                         engine.take(head)  # type: ignore[arg-type]
-                    stop = self._coalesce_arrivals(max_wait) or stop
             with self._pump_lock:
                 stop = self._drain_submissions() or stop
                 if not engine.idle:
@@ -614,39 +588,6 @@ class RecommendService:
                     continue
             if stop:
                 return
-
-    def _coalesce_arrivals(self, max_wait: float) -> bool:
-        """Optional growth-gated admission wait at the start of a busy period.
-
-        A no-op unless ``admission_wait_ms`` is positive. When enabled:
-        a burst reaches the queue spread over the submitters'
-        milliseconds, and starting a kernel on the first fraction of it
-        fragments each user's burst across several model calls,
-        re-paying the session walk per fragment — so on idle→busy the
-        loop keeps admitting *while the backlog is still growing*,
-        polling briefly, and starts scoring as soon as one poll sees no
-        growth (or the bound is spent). A lone calm-phase request
-        therefore waits one poll (~half a millisecond), never the full
-        bound. Once the engine is busy, kernel boundaries admit
-        continuously with no waiting in either setting: a burst landing
-        mid-kernel is coalesced by the kernel's own duration. Returns
-        True on shutdown.
-        """
-        if max_wait <= 0:
-            return False
-        engine = self._engine
-        deadline = time.monotonic() + max_wait
-        stop = False
-        seen = engine.n_inflight + len(engine.overflow)
-        while not stop and time.monotonic() < deadline:
-            time.sleep(_COALESCE_POLL_S)
-            with self._pump_lock:
-                stop = self._drain_submissions()
-                size = engine.n_inflight + len(engine.overflow)
-            if size == seen:
-                break
-            seen = size
-        return stop
 
     def _drain_submissions(self) -> bool:
         """Move every queued submission into the engine.

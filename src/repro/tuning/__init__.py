@@ -1,17 +1,14 @@
-"""Tuning: hyper-parameter grid search + profile-guided autotuning.
-
-Two layers live here:
+"""Tuning: the paper's hyper-parameter grid search and the knob registry.
 
 * **Model hyper-parameters** — :class:`~repro.tuning.grid.GridSearch`
   generalizes the paper's Section 5.5 one-axis-at-a-time sweeps over
   λ, γ, K, S, Ω into a reusable utility.
-* **System knobs** — the profile-guided autotuner: a knob registry
-  (:mod:`~repro.tuning.defaults`), machine micro-probes
-  (:mod:`~repro.tuning.probe`), an analytic cost model
-  (:mod:`~repro.tuning.cost`), measured validation
-  (:mod:`~repro.tuning.measure`), the search engine
-  (:mod:`~repro.tuning.autotune`), and the checksummed machine-profile
-  file servers load at startup (:mod:`~repro.tuning.profile`).
+* **System knobs** — :mod:`~repro.tuning.defaults` declares every
+  serving/cluster/training knob once (type, range, default, consumer)
+  and resolves each with CLI > built-in default, logging where each
+  value came from.
+* **Load** — :class:`~repro.tuning.load.LoadGenerator`, the seeded
+  arrival schedules the serving benchmarks pace their requests with.
 
 Attribute access is lazy (PEP 562) so importing :mod:`repro.tuning` —
 which :mod:`repro.serving.service` does at class-definition time for
@@ -24,11 +21,6 @@ _EXPORTS = {
     "GridPointResult": "repro.tuning.grid",
     "GridSearch": "repro.tuning.grid",
     "expand_grid": "repro.tuning.grid",
-    "AutoTuner": "repro.tuning.autotune",
-    "TuneJournal": "repro.tuning.autotune",
-    "CostModel": "repro.tuning.cost",
-    "Prediction": "repro.tuning.cost",
-    "WorkloadShape": "repro.tuning.cost",
     "Knob": "repro.tuning.defaults",
     "KNOBS": "repro.tuning.defaults",
     "ResolvedKnob": "repro.tuning.defaults",
@@ -40,19 +32,11 @@ _EXPORTS = {
     "resolve": "repro.tuning.defaults",
     "values_of": "repro.tuning.defaults",
     "LoadGenerator": "repro.tuning.load",
-    "ServingWorkload": "repro.tuning.measure",
-    "TrainingWorkload": "repro.tuning.measure",
-    "MachineProbe": "repro.tuning.probe",
-    "probe_machine": "repro.tuning.probe",
-    "MachineProfile": "repro.tuning.profile",
-    "load_profile_knobs": "repro.tuning.profile",
 }
 
 __all__ = sorted(_EXPORTS)
 
 if TYPE_CHECKING:  # pragma: no cover - typing aid only
-    from repro.tuning.autotune import AutoTuner, TuneJournal
-    from repro.tuning.cost import CostModel, Prediction, WorkloadShape
     from repro.tuning.defaults import (
         KNOBS,
         SUBSYSTEMS,
@@ -67,9 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing aid only
     )
     from repro.tuning.grid import GridPointResult, GridSearch, expand_grid
     from repro.tuning.load import LoadGenerator
-    from repro.tuning.measure import ServingWorkload, TrainingWorkload
-    from repro.tuning.probe import MachineProbe, probe_machine
-    from repro.tuning.profile import MachineProfile, load_profile_knobs
 
 
 def __getattr__(name: str):

@@ -1,25 +1,19 @@
-"""The knob registry: every tunable serving/cluster/training constant.
+"""The knob registry: every serving/cluster/training system knob.
 
-Before this module, every hot-path knob — ``check_interval``,
-``max_inflight_rows``, ``admission_wait_ms``, LRU ``capacity``, arena
-store kind, ``fit_workers``, SGD block size — was a hand-picked literal
-scattered across :class:`~repro.serving.service.ServiceConfig`, the
-CLIs, and the training entry points, each tuned on one machine. The
-registry declares each knob **once**: its type, valid range (or choice
-set), built-in default, which subsystem consumes it, and the candidate
-values the autotuner searches. Everything else derives from here:
+Every hot-path knob — ``check_interval``, ``max_inflight_rows``, LRU
+``capacity``, the session ``store`` kind, the online-learning settings
+and ``fit_workers`` — is declared **once** here: its type, valid range
+(or choice set), built-in default, and which subsystem consumes it.
+Everything else derives from the registry:
 
 * :class:`~repro.serving.service.ServiceConfig` field defaults,
 * ``repro-serve`` / ``repro-experiments`` argparse defaults and help,
-* the autotuner's candidate spaces
-  (:mod:`repro.tuning.autotune`),
-* machine-profile validation (:mod:`repro.tuning.profile`),
 * the DESIGN.md knob table.
 
 :func:`resolve` implements the startup precedence contract —
-**CLI > profile > built-in default** — returning, for every knob, both
-the value and where it came from, so servers can log the provenance of
-each resolved knob.
+**CLI > built-in default** — returning, for every knob, both the value
+and where it came from, so servers can log the provenance of each
+resolved knob.
 """
 
 from __future__ import annotations
@@ -33,7 +27,7 @@ from repro.exceptions import TuningError
 SUBSYSTEMS = ("serving", "cluster", "training")
 
 #: Where a resolved knob value came from, in precedence order.
-SOURCES = ("cli", "profile", "default")
+SOURCES = ("cli", "default")
 
 #: CLI-facing store kinds (mirrors ``repro.store.STORE_KINDS`` without
 #: importing the store package — the registry must stay import-light so
@@ -43,23 +37,20 @@ STORE_CHOICES = ("dict", "arena", "arena-mmap")
 
 @dataclass(frozen=True)
 class Knob:
-    """One registered knob: type, range, default, consumer, search space.
+    """One registered knob: type, range, default, consumer.
 
     Attributes
     ----------
     name / subsystem:
         Identity; ``(subsystem, name)`` is unique.
     default:
-        The built-in value used when neither CLI nor profile names one.
+        The built-in value used when the CLI does not name one.
     kind:
         ``int``, ``float``, or ``str``.
     lo / hi:
         Inclusive numeric bounds (numeric kinds only).
     choices:
         Allowed values (string kinds only).
-    search:
-        Candidate values the autotuner enumerates for this knob; empty
-        for knobs tuned indirectly (or not at all).
     consumer:
         Dotted path of the class/function that reads the value — kept
         accurate so DESIGN.md's knob table never drifts from the code.
@@ -74,7 +65,6 @@ class Knob:
     lo: Optional[float] = None
     hi: Optional[float] = None
     choices: Optional[Tuple[str, ...]] = None
-    search: Tuple = ()
     consumer: str = ""
     help: str = ""
 
@@ -82,7 +72,7 @@ class Knob:
         """Coerce ``value`` to the knob's type and check its range.
 
         Raises :class:`TuningError` with the offending knob named, so a
-        profile carrying a bad value fails loudly at load time.
+        bad flag value fails loudly at startup.
         """
         try:
             if self.kind is int:
@@ -119,76 +109,36 @@ class Knob:
             )
         return coerced
 
-    def alternative(self) -> object:
-        """A valid value different from the default (for tests/examples)."""
-        for value in self.search:
-            if value != self.default:
-                return value
-        if self.choices is not None:
-            for value in self.choices:
-                if value != self.default:
-                    return value
-        if self.kind is int:
-            step = 1
-            candidate = int(self.default) + step  # type: ignore[arg-type]
-            if self.hi is not None and candidate > self.hi:
-                candidate = int(self.default) - step  # type: ignore[arg-type]
-            return candidate
-        if self.kind is float:
-            candidate = float(self.default) + 1.0  # type: ignore[arg-type]
-            if self.hi is not None and candidate > self.hi:
-                candidate = float(self.default) / 2.0  # type: ignore[arg-type]
-            return candidate
-        raise TuningError(
-            f"knob {self.subsystem}.{self.name} has no alternative value"
-        )
-
 
 def _build_registry() -> Dict[str, Dict[str, Knob]]:
     scoring = [
         Knob(
             "check_interval", "serving", 16, int, lo=1, hi=4096,
-            search=(4, 16, 64),
             consumer="repro.serving.service.ServiceConfig",
             help="max queries scored per model call — the kernel-boundary "
             "granularity at which requests admit and retire",
         ),
         Knob(
             "max_inflight_rows", "serving", 32768, int, lo=1, hi=1 << 22,
-            search=(4096, 32768, 131072),
             consumer="repro.serving.service.ServiceConfig",
             help="admission-control bound on the candidate rows of "
             "admitted requests; requests beyond it wait in the overflow "
             "queue",
         ),
         Knob(
-            "admission_wait_ms", "serving", 0.0, float, lo=0.0, hi=100.0,
-            search=(0.0, 1.0),
-            consumer="repro.serving.service.ServiceConfig",
-            help="optional growth-gated coalescing wait at the start of a "
-            "busy period (0 = admit and score immediately)",
-        ),
-        Knob(
             "capacity", "serving", 1024, int, lo=1, hi=1 << 24,
-            search=(1024,),
             consumer="repro.serving.state.SessionStore",
             help="max resident live sessions before LRU eviction",
         ),
         Knob(
             "store", "serving", "arena", str, choices=STORE_CHOICES,
-            search=("arena", "dict"),
             consumer="repro.store.make_history_store",
             help="session history backing: columnar arena (default), "
             "memory-mapped arena, or per-user Python lists; answers are "
             "bit-identical either way",
         ),
-        # Online-learning knobs carry an empty ``search`` tuple: they
-        # change the model, not the serving schedule, so the autotuner's
-        # latency objective cannot rank them (the serving and cluster
-        # candidate spaces stay at 36).
         Knob(
             "online", "serving", "off", str, choices=("off", "isgd"),
-            search=(),
             consumer="repro.online.trainer.OnlineTrainer",
             help="incremental model updates per ingested event: off "
             "(frozen factors, the default) or isgd per-event SGD; the "
@@ -197,14 +147,12 @@ def _build_registry() -> Dict[str, Dict[str, Knob]]:
         ),
         Knob(
             "online_lr", "serving", 0.05, float, lo=1e-6, hi=1.0,
-            search=(),
             consumer="repro.online.trainer.OnlineTrainer",
             help="online mode: ISGD learning rate applied per event "
             "(independent of the offline fit's schedule)",
         ),
         Knob(
             "online_batch", "serving", 256, int, lo=1, hi=4096,
-            search=(),
             consumer="repro.online.trainer.OnlineTrainer",
             help="online mode: events buffered before one batched kernel "
             "flush; final parameters are bit-identical at any window "
@@ -220,18 +168,9 @@ def _build_registry() -> Dict[str, Dict[str, Knob]]:
     training = [
         Knob(
             "fit_workers", "training", 1, int, lo=1, hi=256,
-            search=(1, 2, 4, 8),
             consumer="repro.models.base.Recommender.fit",
             help="worker processes for the parallel feature-cache build; "
             "learned parameters are bit-identical at any worker count",
-        ),
-        Knob(
-            "sgd_block", "training", 0, int, lo=0, hi=1 << 20,
-            search=(0, 512, 4096, 32768),
-            consumer="repro.optim.sgd.run_sgd",
-            help="cap on updates per block-SGD kernel call (0 = one whole "
-            "check interval per kernel); results are bit-identical at any "
-            "block size",
         ),
     ]
     registry: Dict[str, Dict[str, Knob]] = {name: {} for name in SUBSYSTEMS}
@@ -284,33 +223,26 @@ class ResolvedKnob:
 
 
 def resolve(
-    subsystem: str,
-    cli: Optional[Mapping[str, object]] = None,
-    profile: Optional[Mapping[str, object]] = None,
+    subsystem: str, cli: Optional[Mapping[str, object]] = None
 ) -> Dict[str, ResolvedKnob]:
-    """Resolve every knob of ``subsystem`` with CLI > profile > default.
+    """Resolve every knob of ``subsystem`` with CLI > built-in default.
 
     ``cli`` holds only the knobs the user *explicitly* set (absent or
-    ``None`` entries fall through to the profile); ``profile`` holds the
-    subsystem's knob dict from a loaded machine profile. Every value is
+    ``None`` entries fall through to the default). Every value is
     validated against the registry — an unknown knob name or an
-    out-of-range value raises :class:`TuningError` naming the offender,
-    whichever layer it came from.
+    out-of-range value raises :class:`TuningError` naming the offender.
     """
     registry = knobs_for(subsystem)
-    for layer_name, layer in (("cli", cli), ("profile", profile)):
-        for name in layer or ():
-            if name not in registry:
-                raise TuningError(
-                    f"unknown knob {name!r} in {layer_name} overrides for "
-                    f"subsystem {subsystem!r}; registered: {sorted(registry)}"
-                )
+    for name in cli or ():
+        if name not in registry:
+            raise TuningError(
+                f"unknown knob {name!r} in cli overrides for subsystem "
+                f"{subsystem!r}; registered: {sorted(registry)}"
+            )
     resolved: Dict[str, ResolvedKnob] = {}
     for name, entry in sorted(registry.items()):
         if cli is not None and cli.get(name) is not None:
             value, source = cli[name], "cli"
-        elif profile is not None and profile.get(name) is not None:
-            value, source = profile[name], "profile"
         else:
             value, source = entry.default, "default"
         resolved[name] = ResolvedKnob(name, entry.validate(value), source)

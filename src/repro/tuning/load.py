@@ -1,12 +1,11 @@
-"""Seeded arrival processes shared by the tuner and the benchmarks.
+"""Seeded arrival processes shared by the benchmarks.
 
-Latency measurements are only comparable when every candidate
-configuration replays the *same* arrival schedule, so the generators
-here are seeded and pure. They started life in ``benchmarks/conftest.py``
-pacing the serving/cluster benches; the autotuner
-(:mod:`repro.tuning.autotune`) validates candidate configurations with
-the identical pacing, so one implementation now lives in the library and
-the bench conftest re-exports it.
+Latency measurements are only comparable when every configuration
+replays the *same* arrival schedule, so the generators here are seeded
+and pure. They started life in ``benchmarks/conftest.py`` pacing the
+serving/cluster benches; one implementation now lives in the library,
+the bench conftest re-exports it and perfbench's ``serve_burst``
+workload imports it.
 """
 
 from __future__ import annotations
@@ -17,15 +16,14 @@ import numpy as np
 
 
 class LoadGenerator:
-    """Deterministic arrival processes shared by benches and the tuner.
+    """Deterministic arrival processes shared by the benchmarks.
 
     Latency guards are only comparable when every mode replays the
     *same* arrival schedule, so the generators are seeded and pure: the
     serving bench replays one schedule from :meth:`bursty_times`
-    across its best-of-reps runs, the cluster benches pace their client threads
-    with :meth:`poisson_gaps` instead of ad-hoc tight loops, and the
-    autotuner measures every validated candidate against one shared
-    bursty schedule.
+    across its best-of-reps runs, and the cluster benches pace their
+    client threads with :meth:`poisson_gaps` instead of ad-hoc tight
+    loops.
     """
 
     @staticmethod

@@ -195,24 +195,7 @@ class TestRecommendBatch:
 
 
 class TestDeprecationBoundary:
-    def test_score_only_subclass_warns_once(self, gowalla_split):
-        class LegacyScorer(Recommender):
-            name = "legacy"
-
-            def _fit(self, split, window):
-                return
-
-            def score(self, sequence, candidates, t):
-                return np.zeros(len(candidates))
-
-        model = LegacyScorer().fit(gowalla_split, SMALL_WINDOW)
-        sequence = gowalla_split.full_sequence(0)
-        queries = [Query(t=3, candidates=(0, 1))]
-        with pytest.warns(DeprecationWarning, match="per-query"):
-            model.score_batch(sequence, queries)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            model.score_batch(sequence, queries)  # warned once per class
+    """``score_batch`` is the one scoring method a model must implement."""
 
     def test_bundled_models_do_not_warn(self, gowalla_split):
         sequence = gowalla_split.full_sequence(0)
@@ -232,19 +215,20 @@ class TestDeprecationBoundary:
                 model.fit(gowalla_split, SMALL_WINDOW)
                 model.score_batch(sequence, queries)
 
-    def test_neither_method_overridden_raises(self, gowalla_split):
+    def test_neither_method_overridden_raises(self):
         class Hollow(Recommender):
             name = "hollow"
 
             def _fit(self, split, window):
                 return
 
-        model = Hollow().fit(gowalla_split, SMALL_WINDOW)
-        sequence = gowalla_split.full_sequence(0)
-        with pytest.raises(NotImplementedError, match="score"):
-            model.score(sequence, [0], 3)
-        with pytest.raises(NotImplementedError, match="score"):
-            model.score_batch(sequence, [Query(t=3, candidates=(0,))])
+        class ScoreOnly(Hollow):
+            def score(self, sequence, candidates, t):
+                return np.zeros(len(candidates))
+
+        for cls in (Hollow, ScoreOnly):
+            with pytest.raises(TypeError, match="score_batch"):
+                cls()
 
 
 class TestEvaluationEquivalence:

@@ -22,9 +22,13 @@ class OracleRecommender(Recommender):
     def _fit(self, split, window):
         pass
 
-    def score(self, sequence, candidates, t):
-        truth = int(sequence[t])
-        return np.array([1.0 if c == truth else 0.0 for c in candidates])
+    def score_batch(self, sequence, queries):
+        return [
+            np.array(
+                [1.0 if c == int(sequence[q.t]) else 0.0 for c in q.candidates]
+            )
+            for q in queries
+        ]
 
 
 class AntiOracleRecommender(OracleRecommender):
@@ -32,8 +36,8 @@ class AntiOracleRecommender(OracleRecommender):
 
     name = "AntiOracle"
 
-    def score(self, sequence, candidates, t):
-        return -super().score(sequence, candidates, t)
+    def score_batch(self, sequence, queries):
+        return [-scores for scores in super().score_batch(sequence, queries)]
 
 
 @pytest.fixture()

@@ -20,8 +20,8 @@ class ConstantScorer(Recommender):
     def _fit(self, split, window):
         pass
 
-    def score(self, sequence, candidates, t):
-        return np.asarray(candidates, dtype=float)
+    def score_batch(self, sequence, queries):
+        return [np.asarray(q.candidates, dtype=float) for q in queries]
 
 
 class BrokenScorer(Recommender):
@@ -30,8 +30,8 @@ class BrokenScorer(Recommender):
     def _fit(self, split, window):
         pass
 
-    def score(self, sequence, candidates, t):
-        return np.zeros(len(candidates) + 1)
+    def score_batch(self, sequence, queries):
+        return [np.zeros(len(q.candidates) + 1) for q in queries]
 
 
 class TestRecommenderBase:
@@ -67,8 +67,8 @@ class TestRecommenderBase:
 
     def test_tie_break_is_candidate_order(self, tiny_split):
         class AllEqual(ConstantScorer):
-            def score(self, sequence, candidates, t):
-                return np.zeros(len(candidates))
+            def score_batch(self, sequence, queries):
+                return [np.zeros(len(q.candidates)) for q in queries]
 
         model = AllEqual().fit(tiny_split)
         sequence = tiny_split.full_sequence(0)

@@ -9,11 +9,10 @@ produced by a live service.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 import repro.cli as experiments_cli
+import repro.serving.cli as serving_cli
 from repro.config import WindowConfig
 from repro.models.recency import RecencyRecommender
 from repro.serving.cli import (
@@ -28,15 +27,12 @@ from repro.serving.cli import (
 )
 from repro.serving.events import EventLog
 from repro.serving.service import ServiceConfig, service_for_split
-from repro.resilience.atomic import sha256_bytes
-from repro.tuning.defaults import defaults_for, values_of
-from repro.tuning.profile import MachineProfile
+from repro.tuning.defaults import knobs_for, values_of
 
 
 class TestParser:
     def test_serve_defaults(self) -> None:
-        # Knob flags parse to None sentinels ("not explicitly set") so
-        # profile values are only overridden by flags the user typed;
+        # Knob flags parse to None sentinels ("not explicitly set");
         # resolution then fills in the registry defaults.
         args = build_parser().parse_args(["serve"])
         assert args.command == "serve"
@@ -45,7 +41,6 @@ class TestParser:
         assert args.port == 8423
         for name in KNOB_ARGS:
             assert getattr(args, name) is None
-        assert args.profile is None
         assert args.event_log is None
         assert args.deadline_ms is None
         resolved = resolve_knob_args(args, "serving", KNOB_ARGS)
@@ -54,7 +49,6 @@ class TestParser:
         assert values["capacity"] == 1024
         assert values["check_interval"] == 16
         assert values["max_inflight_rows"] == 32768
-        assert values["admission_wait_ms"] == 0.0
         assert values["store"] == "arena"
         assert all(entry.source == "default" for entry in resolved.values())
 
@@ -69,7 +63,6 @@ class TestParser:
                 "--event-log", str(tmp_path / "e.log"),
                 "--check-interval", "4",
                 "--max-inflight-rows", "512",
-                "--admission-wait-ms", "1.5",
                 "--deadline-ms", "25",
                 "--capacity", "16",
                 "--max-epochs", "100",
@@ -81,7 +74,6 @@ class TestParser:
         assert args.dataset == "lastfm"
         assert args.check_interval == 4
         assert args.max_inflight_rows == 512
-        assert args.admission_wait_ms == 1.5
         assert args.deadline_ms == 25.0
 
     def test_replay_requires_event_log(self, capsys) -> None:
@@ -117,34 +109,54 @@ class TestParser:
         assert set(DATASET_CHOICES) == {"gowalla", "lastfm"}
 
 
-class TestStaleProfile:
-    def test_serve_rejects_a_profile_naming_a_retired_knob(
-        self, tmp_path, capsys
+class _StopAfterKnobs(Exception):
+    """Raised in place of the dataset build: startup got past the knobs."""
+
+
+def _startup_knob_line(monkeypatch, capsys, argv, subsystem) -> str:
+    """The ``resolved <subsystem> knobs: ...`` line a subcommand prints."""
+
+    def stop(*args, **kwargs):
+        raise _StopAfterKnobs
+
+    monkeypatch.setattr(serving_cli, "build_split", stop)
+    with pytest.raises(_StopAfterKnobs):
+        main(["--log-level", "critical", *argv])
+    prefix = f"resolved {subsystem} knobs: "
+    lines = [
+        line[len(prefix):]
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith(prefix)
+    ]
+    assert len(lines) == 1
+    return lines[0]
+
+
+class TestStartupKnobLine:
+    """Every kept knob is logged at startup with where its value came from."""
+
+    def test_flags_cover_every_registered_knob(self) -> None:
+        assert set(KNOB_ARGS) == set(knobs_for("serving"))
+        assert set(KNOB_ARGS) == set(knobs_for("cluster"))
+
+    @pytest.mark.parametrize("subsystem", ["serving", "cluster"])
+    def test_line_names_every_knob_with_provenance(
+        self, monkeypatch, capsys, subsystem
     ) -> None:
-        """An intact profile from an older registry fails fast, in one line."""
-        path = tmp_path / "profile.json"
-        profile = MachineProfile(created="t0")
-        profile.set_subsystem("serving", defaults_for("serving"))
-        profile.save(path)
-        payload = json.loads(path.read_text())
-        payload["subsystems"]["serving"]["knobs"]["batching"] = "inflight"
-        del payload["checksum"]
-        payload["checksum"] = sha256_bytes(
-            json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
+        command = "serve" if subsystem == "serving" else "cluster"
+        line = _startup_knob_line(
+            monkeypatch,
+            capsys,
+            [command, "--check-interval", "4", "--online", "isgd"],
+            subsystem,
         )
-        path.write_text(json.dumps(payload))
-        code = main(
-            ["--log-level", "critical", "serve", "--profile", str(path)]
-        )
-        assert code == 1
-        errors = [
-            line for line in capsys.readouterr().err.splitlines()
-            if line.startswith("error:")
-        ]
-        assert len(errors) == 1
-        assert "stale machine profile" in errors[0]
-        assert str(path) in errors[0] and "batching" in errors[0]
-        assert "re-run 'repro-experiments tune'" in errors[0]
+        entries = dict(entry.split("=", 1) for entry in line.split())
+        assert set(entries) == set(knobs_for(subsystem))
+        assert entries.pop("check_interval") == "4(cli)"
+        assert entries.pop("online") == "isgd(cli)"
+        for name, entry in entries.items():
+            default = knobs_for(subsystem)[name].default
+            assert entry == f"{default}(default)"
 
 
 class TestBuilders:

@@ -70,20 +70,6 @@ class TestInflightBitIdentity:
         ]
         assert replays[0] == replays[1] == replays[2]
 
-    def test_admission_wait_does_not_matter(
-        self, gowalla_split: SplitDataset
-    ) -> None:
-        """The growth-gated coalescing wait is a latency knob only."""
-        model = RecencyRecommender().fit(gowalla_split, SMALL_WINDOW)
-        users = [0, 1]
-        gated = replay_online(
-            model, gowalla_split, users, admission_wait_ms=5.0
-        )
-        ungated = replay_online(
-            model, gowalla_split, users, admission_wait_ms=0.0
-        )
-        assert gated == ungated
-
     def test_admission_bound_does_not_matter(
         self, gowalla_split: SplitDataset
     ) -> None:
@@ -301,5 +287,3 @@ class TestAccounting:
             ServiceConfig(max_inflight_rows=0)
         with pytest.raises(ServingError, match="check_interval"):
             ServiceConfig(check_interval=0)
-        with pytest.raises(ServingError, match="admission_wait_ms"):
-            ServiceConfig(admission_wait_ms=-1.0)

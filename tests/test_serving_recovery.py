@@ -228,7 +228,8 @@ def concurrent_crash(
     write-ahead path), recording which appends were *acknowledged*. The
     injected fault kills one append mid-stream; afterwards torn trailing
     bytes are planted to simulate the record the kill cut short.
-    Returns the per-user acknowledged streams and the recovered log.
+    Returns the per-user acknowledged streams and the recovered log,
+    which is open for appends: the caller closes it.
     """
     log_path = tmp_path / f"concurrent{tag}.log"
     injector = FaultInjector(crash_on_write=crash_on_write)
@@ -315,7 +316,8 @@ class TestConcurrentTornTail:
         acked, recovered = concurrent_crash(
             model, gowalla_split, tmp_path, crash_on_write=41, tag="t1"
         )
-        assert_replay_matches_acknowledged(gowalla_split, acked, recovered)
+        with recovered:
+            assert_replay_matches_acknowledged(gowalla_split, acked, recovered)
 
     @pytest.mark.tier2
     def test_sweep_kill_points(
@@ -331,9 +333,10 @@ class TestConcurrentTornTail:
                 crash_on_write=crash_on_write,
                 tag=crash_on_write,
             )
-            assert_replay_matches_acknowledged(
-                gowalla_split, acked, recovered
-            )
+            with recovered:
+                assert_replay_matches_acknowledged(
+                    gowalla_split, acked, recovered
+                )
 
 
 @pytest.mark.tier2
