@@ -13,9 +13,10 @@ suite runs in one pytest session.
 
 Perf trajectory: speed-guard benchmarks record their measurements
 through the :func:`bench_record` fixture; at session end each group is
-written as machine-readable JSON next to this file — ``BENCH_training.json``
-for the training-engine guard and ``BENCH_engine.json`` for the scoring
-engine — so the numbers can be compared across PRs.
+written as machine-readable JSON next to this file (``BENCH_<group>.json``,
+e.g. ``BENCH_engine.json`` for the scoring engine) so the numbers can be
+compared across changes. Fit time is measured by perfbench's
+``fit_tsppr`` workload (``fit_s``), not here.
 """
 
 import json

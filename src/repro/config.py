@@ -114,12 +114,6 @@ class TSPPRConfig:
         ``U``, ``V`` and for ``A_u`` (Algorithm 1, line 1).
     seed:
         RNG seed for initialization and quadruple scheduling.
-    training_engine:
-        ``"vectorized"`` (default) runs the fit pipeline through the
-        incremental quadruple sampler, the session-walk feature-cache
-        builder, and the block-mode SGD kernels; ``"scalar"`` keeps the
-        seed's per-row reference pipeline. Both produce bit-identical
-        models — the knob exists for equivalence tests and benchmarks.
     """
 
     n_factors: int = 40
@@ -137,7 +131,6 @@ class TSPPRConfig:
     init_scale_latent: float = 0.1
     init_scale_mapping: float = 0.1
     seed: Optional[int] = None
-    training_engine: str = "vectorized"
 
     def __post_init__(self) -> None:
         if self.n_factors <= 0:
@@ -150,6 +143,14 @@ class TSPPRConfig:
             raise ValueError("regularization parameters must be non-negative")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.convergence_tol <= 0:
+            raise ValueError(
+                f"convergence_tol must be positive, got {self.convergence_tol}"
+            )
+        if self.max_epochs <= 0:
+            raise ValueError(f"max_epochs must be positive, got {self.max_epochs}")
+        if self.init_scale_latent < 0 or self.init_scale_mapping < 0:
+            raise ValueError("initialization scales must be non-negative")
         if not 0 < self.batch_fraction <= 1:
             raise ValueError(
                 f"batch_fraction must lie in (0, 1], got {self.batch_fraction}"
@@ -158,11 +159,6 @@ class TSPPRConfig:
             raise ValueError(
                 f"recency_kind must be 'hyperbolic' or 'exponential', "
                 f"got {self.recency_kind!r}"
-            )
-        if self.training_engine not in ("vectorized", "scalar"):
-            raise ValueError(
-                f"training_engine must be 'vectorized' or 'scalar', "
-                f"got {self.training_engine!r}"
             )
         if not self.feature_names:
             raise ValueError("feature_names must contain at least one feature")

@@ -17,8 +17,9 @@ each row depends only on its own user's history, and every worker writes
 rows back at their global indices, so the assembled arrays are
 bit-identical at any worker count (mirroring
 :func:`repro.evaluation.protocol.evaluate_recommender`).
-:meth:`QuadrupleFeatureCache.build_reference` keeps the seed's
-per-anchor rebuild as the equivalence baseline.
+The seed's per-anchor rebuild is kept as a test oracle
+(``tests/training_oracles.py``); ``tests/test_features_cache.py`` pins
+that both produce identical arrays.
 """
 
 from __future__ import annotations
@@ -31,31 +32,9 @@ import numpy as np
 from repro.data.split import SplitDataset
 from repro.exceptions import SamplingError
 from repro.features.vectorizer import BehavioralFeatureModel
-from repro.windows.window import WindowView, window_before
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sampling.quadruples import QuadrupleSet
-
-
-def _anchor_features(
-    memo: Dict[int, np.ndarray],
-    feature_model: BehavioralFeatureModel,
-    sequence,
-    t: int,
-    window: WindowView,
-    item: int,
-) -> np.ndarray:
-    """Memoized per-item vector at one anchor (reference path).
-
-    Hoisted to module level so the per-anchor loop does not rebuild a
-    closure per anchor; a positive item recurs across its ``S``
-    negatives, so the memo saves one extraction per repeat.
-    """
-    cached = memo.get(item)
-    if cached is None:
-        cached = feature_model.vector(sequence, item, t, window)
-        memo[item] = cached
-    return cached
 
 
 class QuadrupleFeatureCache:
@@ -209,45 +188,6 @@ class QuadrupleFeatureCache:
                 cls._fill_user_rows(
                     quadruples, split, feature_model, user,
                     quadruples.per_user[user], positive, negative,
-                )
-        return cls(positive, negative)
-
-    @classmethod
-    def build_reference(
-        cls,
-        quadruples: "QuadrupleSet",
-        split: SplitDataset,
-        feature_model: BehavioralFeatureModel,
-    ) -> "QuadrupleFeatureCache":
-        """The seed's per-anchor extraction, kept as equivalence baseline.
-
-        Quadruples sharing a ``(user, t)`` anchor share one window view;
-        per-item vectors at an anchor are additionally memoized because a
-        positive item recurs across its ``S`` negatives. Bit-identical to
-        :meth:`build` (asserted by ``tests/test_features_cache.py``).
-        """
-        window_size = feature_model.window_config.window_size
-        n = len(quadruples)
-        positive = np.empty((n, feature_model.n_features), dtype=np.float64)
-        negative = np.empty((n, feature_model.n_features), dtype=np.float64)
-
-        by_anchor: Dict[Tuple[int, int], List[int]] = {}
-        for index in range(n):
-            key = (int(quadruples.users[index]), int(quadruples.times[index]))
-            by_anchor.setdefault(key, []).append(index)
-
-        for (user, t), indices in by_anchor.items():
-            sequence = split.full_sequence(user)
-            window = window_before(sequence, t, window_size)
-            memo: Dict[int, np.ndarray] = {}
-            for index in indices:
-                positive[index] = _anchor_features(
-                    memo, feature_model, sequence, t, window,
-                    int(quadruples.positives[index]),
-                )
-                negative[index] = _anchor_features(
-                    memo, feature_model, sequence, t, window,
-                    int(quadruples.negatives[index]),
                 )
         return cls(positive, negative)
 

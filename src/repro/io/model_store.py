@@ -65,9 +65,15 @@ def _config_to_dict(config: TSPPRConfig) -> Dict:
 
 
 def _config_from_dict(payload: Dict) -> TSPPRConfig:
-    payload = dict(payload)
-    payload["feature_names"] = tuple(payload["feature_names"])
-    return TSPPRConfig(**payload)
+    try:
+        payload = dict(payload)
+        # Stores saved before the scalar training engine was removed
+        # carry its (now meaningless) selector.
+        payload.pop("training_engine", None)
+        payload["feature_names"] = tuple(payload["feature_names"])
+        return TSPPRConfig(**payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelError(f"invalid model config in manifest: {exc}") from exc
 
 
 def save_model(model: Recommender, directory: Union[str, Path]) -> Path:
@@ -161,12 +167,15 @@ def load_model(
         raise ModelError(
             f"unsupported model format {manifest.get('format_version')!r}"
         )
-    class_name = manifest["model_class"]
+    class_name = manifest.get("model_class")
     model_cls = _SAVABLE.get(class_name)
     if model_cls is None:
         raise ModelError(f"unknown model class {class_name!r} in manifest")
+    try:
+        window = WindowConfig(**manifest["window"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelError(f"invalid window in manifest: {exc}") from exc
 
-    window = WindowConfig(**manifest["window"])
     arrays_path = directory / "arrays.npz"
     if not arrays_path.exists():
         raise ModelError(f"no arrays.npz under {directory}")

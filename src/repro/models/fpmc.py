@@ -41,7 +41,6 @@ from repro.engine.session import ScoringSession
 from repro.exceptions import SamplingError
 from repro.models.base import Recommender
 from repro.optim.kernels import fpmc_sequential_update
-from repro.optim.lasso import sigmoid_scalar
 from repro.optim.sgd import SGDResult, run_sgd
 from repro.rng import Uint32Stream, ensure_rng
 from repro.windows.window import window_before
@@ -165,38 +164,11 @@ class FPMCRecommender(Recommender):
                 margin += float(UI[user] @ (IU[v_i] - IU[negative]))
             return margin
 
-        def apply_update(position: int) -> None:
-            user = int(users[position])
-            v_i = int(positives[position])
-            v_j = int(rng.integers(n_items))
-            if v_j == v_i:
-                return
-            basket = baskets[position]
-            eta = LI[basket].mean(axis=0)
-            margin = margin_of(position, v_j)
-            coeff = alpha * sigmoid_scalar(-margin)
-
-            il_diff = IL[v_i] - IL[v_j]
-            if use_user_term:
-                u_vec = UI[user].copy()
-                iu_diff = IU[v_i] - IU[v_j]
-                UI[user] = (1 - alpha * gamma) * u_vec + coeff * iu_diff
-                IU[v_i] = (1 - alpha * gamma) * IU[v_i] + coeff * u_vec
-                IU[v_j] = (1 - alpha * gamma) * IU[v_j] - coeff * u_vec
-            IL[v_i] = (1 - alpha * gamma) * IL[v_i] + coeff * eta
-            IL[v_j] = (1 - alpha * gamma) * IL[v_j] - coeff * eta
-            LI[basket] = (1 - alpha * gamma) * LI[basket] + (
-                coeff / basket.size
-            ) * il_diff
-
         def batch_margin() -> float:
             total = 0.0
             for position, negative in zip(batch_positions, batch_negatives):
                 total += margin_of(int(position), int(negative))
             return total / n_batch
-
-        def draw_index() -> int:
-            return int(rng.integers(users.size))
 
         def draw_block(k: int) -> np.ndarray:
             return draw_pairs(rng, k, users.size, n_items)
@@ -204,8 +176,7 @@ class FPMCRecommender(Recommender):
         # Block kernel, delegated to :mod:`repro.optim.kernels` so the
         # online trainer (``repro.online``) applies the exact same
         # arithmetic: buffered ufuncs with a single eta evaluation per
-        # update (the scalar path computes the same eta twice),
-        # bit-identical to ``apply_update`` in order.
+        # update, applied strictly in order.
 
         def _block_updates(pairs: np.ndarray):
             for position, v_j in pairs.tolist():
@@ -242,12 +213,9 @@ class FPMCRecommender(Recommender):
             LI[...] = params["basket_item_factors"]
 
         check_interval = max(1, math.floor(users.size * config.batch_fraction))
-        use_block = config.training_engine == "vectorized"
         self.sgd_result_ = run_sgd(
-            draw_index=draw_index,
-            apply_update=apply_update,
-            draw_block=draw_block if use_block else None,
-            apply_block=apply_block if use_block else None,
+            draw_block=draw_block,
+            apply_block=apply_block,
             batch_margin=batch_margin,
             max_updates=config.max_epochs,
             check_interval=check_interval,

@@ -25,13 +25,9 @@ from repro.data.split import SplitDataset
 from repro.engine.query import Query
 from repro.models.base import Recommender
 from repro.optim.kernels import ppr_block_update
-from repro.optim.lasso import sigmoid, sigmoid_scalar
 from repro.optim.sgd import SGDResult, run_sgd
 from repro.rng import ensure_rng
-from repro.sampling.quadruples import (
-    sample_quadruples,
-    sample_quadruples_reference,
-)
+from repro.sampling.quadruples import sample_quadruples
 from repro.sampling.schedule import UserUniformSchedule, small_batch_indices
 
 
@@ -55,12 +51,7 @@ class PPRRecommender(Recommender):
     def _fit(self, split: SplitDataset, window: WindowConfig) -> None:
         config = self.config
         rng = ensure_rng(config.seed)
-        sampler = (
-            sample_quadruples_reference
-            if config.training_engine == "scalar"
-            else sample_quadruples
-        )
-        quadruples = sampler(
+        quadruples = sample_quadruples(
             split,
             window=window,
             n_negatives=config.n_negative_samples,
@@ -81,20 +72,6 @@ class PPRRecommender(Recommender):
         schedule = UserUniformSchedule(quadruples, random_state=rng)
         batch = small_batch_indices(quadruples, config.batch_fraction)
         batch_users, batch_pos, batch_neg = users[batch], positives[batch], negatives[batch]
-
-        def apply_update(index: int) -> None:
-            user = int(users[index])
-            v_i, v_j = int(positives[index]), int(negatives[index])
-            u_vec = U[user]
-            item_diff = V[v_i] - V[v_j]
-            margin = float(u_vec @ item_diff)
-            coeff = alpha * sigmoid_scalar(-margin)
-            # U is written first, so the V updates below read the *new*
-            # user vector through the ``u_vec`` view — part of the
-            # model's update semantics the block kernel must preserve.
-            U[user] = (1 - alpha * gamma) * u_vec + coeff * item_diff
-            V[v_i] = (1 - alpha * gamma) * V[v_i] + coeff * u_vec
-            V[v_j] = (1 - alpha * gamma) * V[v_j] - coeff * u_vec
 
         # Block kernel, delegated to :mod:`repro.optim.kernels` so the
         # online trainer (``repro.online``) applies the exact same
@@ -121,17 +98,14 @@ class PPRRecommender(Recommender):
             return {"user_factors": U, "item_factors": V}
 
         def set_state(params: dict) -> None:
-            # In-place: apply_update/batch_margin close over U and V.
+            # In-place: apply_block/batch_margin close over U and V.
             U[...] = params["user_factors"]
             V[...] = params["item_factors"]
 
         check_interval = max(1, math.floor(len(quadruples) * config.batch_fraction))
-        use_block = config.training_engine == "vectorized"
         self.sgd_result_ = run_sgd(
-            draw_index=schedule.draw,
-            apply_update=apply_update,
-            draw_block=schedule.draw_many if use_block else None,
-            apply_block=apply_block if use_block else None,
+            draw_block=schedule.draw_many,
+            apply_block=apply_block,
             batch_margin=batch_margin,
             max_updates=config.max_epochs,
             check_interval=check_interval,

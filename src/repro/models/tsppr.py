@@ -39,14 +39,9 @@ from repro.features.cache import QuadrupleFeatureCache
 from repro.features.vectorizer import BehavioralFeatureModel
 from repro.models.base import Recommender
 from repro.optim.kernels import tsppr_block_update, tsppr_shared_update
-from repro.optim.lasso import sigmoid, sigmoid_scalar
 from repro.optim.sgd import SGDResult, run_sgd
 from repro.rng import ensure_rng
-from repro.sampling.quadruples import (
-    QuadrupleSet,
-    sample_quadruples,
-    sample_quadruples_reference,
-)
+from repro.sampling.quadruples import QuadrupleSet, sample_quadruples
 from repro.sampling.schedule import UserUniformSchedule, small_batch_indices
 from repro.windows.window import window_before
 
@@ -113,15 +108,10 @@ class TSPPRRecommender(Recommender):
             )
 
         quadruples = self._sample_quadruples(split, window, rng)
-        if config.training_engine == "scalar":
-            cache = QuadrupleFeatureCache.build_reference(
-                quadruples, split, self._feature_model
-            )
-        else:
-            cache = QuadrupleFeatureCache.build(
-                quadruples, split, self._feature_model,
-                workers=self._fit_workers,
-            )
+        cache = QuadrupleFeatureCache.build(
+            quadruples, split, self._feature_model,
+            workers=self._fit_workers,
+        )
         self.n_quadruples_ = len(quadruples)
 
         self._initialize_parameters(split.n_users, split.n_items, rng)
@@ -140,12 +130,7 @@ class TSPPRRecommender(Recommender):
         :class:`repro.novel.models.NovelTSPPRRecommender` overrides this
         with first-time consumptions against unconsumed items.
         """
-        sampler = (
-            sample_quadruples_reference
-            if self.config.training_engine == "scalar"
-            else sample_quadruples
-        )
-        return sampler(
+        return sample_quadruples(
             split,
             window=window,
             n_negatives=self.config.n_negative_samples,
@@ -199,36 +184,6 @@ class TSPPRRecommender(Recommender):
         batch_pos = positives[batch]
         batch_neg = negatives[batch]
         batch_fdiff = fdiff[batch]
-
-        def apply_update(index: int) -> None:
-            user = int(users[index])
-            v_i, v_j = int(positives[index]), int(negatives[index])
-            diff = fdiff[index]
-
-            u_vec = U[user]
-            A_u = self._mapping_of(user)
-            mapped = A_u @ diff
-            if use_static:
-                item_diff = V[v_i] - V[v_j]
-                margin = float(u_vec @ (item_diff + mapped))
-            else:
-                item_diff = None
-                margin = float(u_vec @ mapped)
-            coeff = alpha * sigmoid_scalar(-margin)  # α(1 − p)
-
-            # Gradients use the pre-update parameter values (Alg. 1, l. 10).
-            if use_static:
-                new_u = (1 - alpha * gamma) * u_vec + coeff * (item_diff + mapped)
-                V[v_i] = (1 - alpha * gamma) * V[v_i] + coeff * u_vec
-                V[v_j] = (1 - alpha * gamma) * V[v_j] - coeff * u_vec
-            else:
-                new_u = (1 - alpha * gamma) * u_vec + coeff * mapped
-            new_A = (1 - alpha * lam) * A_u + coeff * np.outer(u_vec, diff)
-            U[user] = new_u
-            if self.config.share_mapping:
-                self.mappings_ = new_A
-            else:
-                self.mappings_[user] = new_A  # type: ignore[index]
 
         # Block kernel, delegated to :mod:`repro.optim.kernels` so the
         # online trainer (``repro.online``) applies the exact same
@@ -301,12 +256,9 @@ class TSPPRRecommender(Recommender):
         check_interval = max(
             1, math.floor(len(quadruples) * config.batch_fraction)
         )
-        use_block = config.training_engine == "vectorized"
         self.sgd_result_ = run_sgd(
-            draw_index=schedule.draw,
-            apply_update=apply_update,
-            draw_block=schedule.draw_many if use_block else None,
-            apply_block=apply_block if use_block else None,
+            draw_block=schedule.draw_many,
+            apply_block=apply_block,
             batch_margin=batch_margin,
             max_updates=config.max_epochs,
             check_interval=check_interval,

@@ -1,7 +1,6 @@
 """Conflict-free run partitioning for block SGD kernels.
 
-The block execution mode of :func:`repro.optim.sgd.run_sgd` hands model
-kernels a block of pre-drawn update indices. Consecutive updates whose
+:func:`repro.optim.sgd.run_sgd` hands model kernels a block of pre-drawn update indices. Consecutive updates whose
 parameter rows are pairwise disjoint — no shared user row and no shared
 item row — cannot observe each other's writes, so a kernel may apply
 them as one batched *run* and stay bit-identical to the scalar

@@ -2,9 +2,9 @@
 
 These are the parameter-update bodies of TS-PPR, PPR, and FPMC training
 (Algorithm 1 and its ablations), extracted from the model closures so
-that *offline* training (:func:`~repro.optim.sgd.run_sgd` block mode)
-and *online* incremental learning (:mod:`repro.online`) apply the exact
-same arithmetic to the exact same array layouts.
+that *offline* training (:func:`~repro.optim.sgd.run_sgd`) and *online*
+incremental learning (:mod:`repro.online`) apply the exact same
+arithmetic to the exact same array layouts.
 
 Bit-identity contracts (asserted by ``tests/test_training_equivalence.py``
 and ``tests/test_online_trainer.py``):
@@ -24,6 +24,10 @@ and ``tests/test_online_trainer.py``):
   rows overlap unpredictably, outside what ``dependency_batches``
   models) apply updates strictly in order with buffered ufuncs,
   bit-identical to their scalar reference loops.
+
+Those scalar loops — the seed's per-update Algorithm 1 bodies — live in
+``tests/training_oracles.py``, with each kernel's signature, as the
+oracle the equivalence tests swap in for a whole fit.
 
 All kernels mutate the factor arrays in place; the TS-PPR shared-mapping
 kernel returns the replacement mapping matrix (its reference semantics

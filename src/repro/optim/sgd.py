@@ -1,18 +1,13 @@
 """Generic SGD driver shared by the pairwise-ranking models.
 
-The driver owns the *schedule*: draw a training index, apply the model's
-update, and every ``check_interval`` updates evaluate the mean margin on
-a fixed small batch, delegating the stop decision to a
-:class:`~repro.optim.convergence.ConvergenceMonitor`. Models supply two
-callables and stay in charge of their own parameters.
-
-Two execution modes share that contract. The scalar mode interleaves
-``draw_index()`` / ``apply_update(index)`` one update at a time. The
-block mode (``draw_block`` + ``apply_block``) pre-draws a whole
-check-interval's worth of schedule entries in one stream-exact call and
-hands them to a vectorized kernel; the rng call sequence, the update
-order, the margin history, and checkpoint cadence are all identical, so
-the two modes produce bit-identical results.
+The driver owns the *schedule*: every ``check_interval`` updates it
+pre-draws the interval's training indices in one stream-exact call,
+hands them to the model's vectorized update kernel, and evaluates the
+mean margin on a fixed small batch, delegating the stop decision to a
+:class:`~repro.optim.convergence.ConvergenceMonitor`. Models supply the
+callables and stay in charge of their own parameters. The seed's
+one-update-at-a-time loop survives only as the test oracle the kernels
+are checked against (``tests/training_oracles.py``).
 
 Crash safety: when a :class:`~repro.resilience.checkpoint.CheckpointManager`
 is supplied (together with ``get_state``/``set_state`` callables and the
@@ -71,16 +66,14 @@ class SGDResult:
 
 
 def run_sgd(
-    draw_index: Optional[Callable[[], int]],
-    apply_update: Optional[Callable[[int], None]],
+    draw_block: Callable[[int], np.ndarray],
+    apply_block: Callable[[np.ndarray], None],
     batch_margin: Callable[[], float],
     max_updates: int,
     check_interval: int,
     tol: float = 1e-3,
     patience: int = 1,
     *,
-    draw_block: Optional[Callable[[int], np.ndarray]] = None,
-    apply_block: Optional[Callable[[np.ndarray], None]] = None,
     checkpoint: Optional[CheckpointManager] = None,
     get_state: Optional[Callable[[], Dict[str, np.ndarray]]] = None,
     set_state: Optional[Callable[[Dict[str, np.ndarray]], None]] = None,
@@ -91,21 +84,15 @@ def run_sgd(
 
     Parameters
     ----------
-    draw_index:
-        Returns the next training-example index (the schedule).
-    apply_update:
-        Applies one stochastic update for the given index.
-    draw_block / apply_block:
-        Block execution mode: ``draw_block(k)`` pre-draws the next ``k``
-        schedule entries *stream-exactly* (consuming the rng in the same
-        call sequence ``k`` scalar draws would) and ``apply_block``
-        applies them in order with a vectorized kernel that must be
-        bit-identical to ``k`` ``apply_update`` calls. When both are
-        given the loop runs each check interval as one block — one
-        ``draw_block`` and one ``apply_block`` call;
-        ``draw_index``/``apply_update`` may then be ``None``. Blocks
-        never cross a convergence-check boundary, so margin history and
-        checkpoint cadence are identical in either mode.
+    draw_block:
+        ``draw_block(k)`` pre-draws the next ``k`` training indices
+        (the schedule) *stream-exactly*: it consumes the rng in the same
+        call sequence as ``k`` scalar draws would.
+    apply_block:
+        Applies the drawn updates in order with a vectorized kernel,
+        bit-identical to applying them one at a time. Each check
+        interval is one ``draw_block`` and one ``apply_block`` call;
+        blocks never cross a convergence-check boundary.
     batch_margin:
         Returns the current mean margin ``r̃`` on the fixed small batch.
     max_updates:
@@ -121,34 +108,23 @@ def run_sgd(
         ``set_state``.
     get_state / set_state:
         Capture / restore the model's parameter arrays by name. The
-        restore must write *in place* wherever ``apply_update`` closes
+        restore must write *in place* wherever ``apply_block`` closes
         over array aliases.
     rng:
-        The generator driving ``draw_index`` (and any in-update
-        sampling); its bit-generator state is checkpointed and restored
-        so a resumed schedule replays bit-identically.
+        The generator driving ``draw_block``; its bit-generator state is
+        checkpointed and restored so a resumed schedule replays
+        bit-identically.
     fault_injector:
-        Test hook: consulted before every update so crash-safety tests
-        can kill the run at an exact update count. In block mode the
-        injector is consulted for each of the block's updates *before*
-        the block kernel runs — the fault fires at the same update
-        count, and because recovery always replays from the last
-        check-boundary checkpoint, resume results are bit-identical to
-        the scalar path either way.
+        Test hook so crash-safety tests can kill the run at an exact
+        update count: it is consulted for each of a block's updates
+        *before* the block kernel runs. Recovery replays from the last
+        check-boundary checkpoint, so a resumed run is bit-identical to
+        an uninterrupted one wherever the fault fires.
     """
     if max_updates <= 0:
         raise ValueError(f"max_updates must be positive, got {max_updates}")
     if check_interval <= 0:
         raise ValueError(f"check_interval must be positive, got {check_interval}")
-    if (draw_block is None) != (apply_block is None):
-        raise ValueError(
-            "block mode requires both draw_block and apply_block callables"
-        )
-    use_block = draw_block is not None and apply_block is not None
-    if not use_block and (draw_index is None or apply_update is None):
-        raise ValueError(
-            "scalar mode requires both draw_index and apply_update callables"
-        )
     if checkpoint is not None and (get_state is None or set_state is None):
         raise ValueError(
             "checkpointing requires both get_state and set_state callables"
@@ -196,16 +172,10 @@ def run_sgd(
 
     while n_updates < max_updates and not converged:
         block = min(check_interval, max_updates - n_updates)
-        if use_block:
-            if fault_injector is not None:
-                for _ in range(block):
-                    fault_injector.on_update()
-            apply_block(draw_block(block))
-        else:
+        if fault_injector is not None:
             for _ in range(block):
-                if fault_injector is not None:
-                    fault_injector.on_update()
-                apply_update(draw_index())
+                fault_injector.on_update()
+        apply_block(draw_block(block))
         n_updates += block
         converged = monitor.record(n_updates, batch_margin())
         if checkpoint is not None:

@@ -7,17 +7,12 @@ negatives are pre-sampled so their time-sensitive features can be
 extracted before training begins.
 """
 
-from repro.sampling.quadruples import (
-    QuadrupleSet,
-    sample_quadruples,
-    sample_quadruples_reference,
-)
+from repro.sampling.quadruples import QuadrupleSet, sample_quadruples
 from repro.sampling.schedule import UserUniformSchedule, small_batch_indices
 
 __all__ = [
     "QuadrupleSet",
     "UserUniformSchedule",
     "sample_quadruples",
-    "sample_quadruples_reference",
     "small_batch_indices",
 ]

@@ -6,17 +6,17 @@ steps) becomes a positive ``v_i`` at its position ``t``; up to ``S``
 negatives ``v_j`` are drawn uniformly without replacement from the other
 Ω-eligible candidates of the same window.
 
-Two implementations share that definition. :func:`sample_quadruples`
-(the default) scans each user's prefix with one incremental
+:func:`sample_quadruples` scans each user's prefix with one incremental
 :class:`~repro.engine.session.ScoringSession` — O(1) window/Ω multiset
 maintenance per position instead of an O(|W|) ``window_before`` rebuild
 plus a ``recent_items`` set per anchor — and assembles the arrays
 through amortized-doubling buffers instead of per-row Python appends.
-:func:`sample_quadruples_reference` keeps the seed's per-position
-rebuild. Both draw negatives through the exact same ``rng.choice`` call
-sequence (same anchors, same eligible-set sizes, same order), so the
-resulting :class:`QuadrupleSet` is bit-identical between them;
-``tests/test_sampling.py`` pins that equivalence.
+The seed's per-position rebuild is kept as a test oracle
+(``tests/training_oracles.py``). Both draw negatives through the exact
+same ``rng.choice`` call sequence (same anchors, same eligible-set
+sizes, same order), so the resulting :class:`QuadrupleSet` is
+bit-identical between them; ``tests/test_sampling.py`` pins that
+equivalence.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.data.split import SplitDataset
 from repro.engine.session import ScoringSession
 from repro.exceptions import SamplingError
 from repro.rng import RandomState, ensure_rng
-from repro.windows.repeat import iter_repeat_positions, recent_items
 
 
 @dataclass(frozen=True)
@@ -124,8 +123,8 @@ def sample_quadruples(
 ) -> QuadrupleSet:
     """Pre-sample the training set ``D`` from a split dataset.
 
-    One incremental session walk per user; bit-identical to
-    :func:`sample_quadruples_reference` (see module docstring).
+    One incremental session walk per user; bit-identical to the seed's
+    per-position scan (see module docstring).
 
     Parameters
     ----------
@@ -211,76 +210,5 @@ def sample_quadruples(
         per_user={
             user: np.arange(start, stop, dtype=np.int64)
             for user, (start, stop) in user_spans.items()
-        },
-    )
-
-
-def sample_quadruples_reference(
-    split: SplitDataset,
-    window: Optional[WindowConfig] = None,
-    n_negatives: int = 10,
-    random_state: RandomState = None,
-) -> QuadrupleSet:
-    """The seed's per-position scan, kept as the equivalence baseline.
-
-    Rebuilds a :class:`WindowView` and a recent-items set at every
-    anchor; used by the training-equivalence tests and the benchmark
-    guard as the scalar pipeline's sampler. Bit-identical to
-    :func:`sample_quadruples`.
-    """
-    window = window or WindowConfig()
-    if n_negatives <= 0:
-        raise SamplingError(f"n_negatives must be positive, got {n_negatives}")
-    rng = ensure_rng(random_state)
-
-    users: List[int] = []
-    positives: List[int] = []
-    negatives: List[int] = []
-    times: List[int] = []
-    per_user: Dict[int, List[int]] = {}
-
-    for user in range(split.n_users):
-        sequence = split.full_sequence(user)
-        boundary = split.train_boundary(user)
-        for t, window_view in iter_repeat_positions(
-            sequence,
-            window.window_size,
-            window.min_gap,
-            stop=boundary,
-        ):
-            positive_item = int(sequence[t])
-            excluded = recent_items(sequence, t, window.min_gap)
-            eligible = sorted(
-                window_view.item_set - excluded - {positive_item}
-            )
-            if not eligible:
-                continue
-            if len(eligible) <= n_negatives:
-                chosen = eligible
-            else:
-                picks = rng.choice(len(eligible), size=n_negatives, replace=False)
-                chosen = [eligible[int(p)] for p in np.sort(picks)]
-            for negative_item in chosen:
-                index = len(users)
-                users.append(user)
-                positives.append(positive_item)
-                negatives.append(int(negative_item))
-                times.append(t)
-                per_user.setdefault(user, []).append(index)
-
-    if not users:
-        raise SamplingError(
-            "no training quadruples could be sampled; the training data "
-            "contains no qualifying repeat consumption with alternatives"
-        )
-
-    return QuadrupleSet(
-        users=np.asarray(users, dtype=np.int64),
-        positives=np.asarray(positives, dtype=np.int64),
-        negatives=np.asarray(negatives, dtype=np.int64),
-        times=np.asarray(times, dtype=np.int64),
-        per_user={
-            user: np.asarray(indices, dtype=np.int64)
-            for user, indices in per_user.items()
         },
     )

@@ -58,14 +58,14 @@ class UserUniformSchedule:
         """``n`` draws as an int array, stream-exact to ``n`` :meth:`draw` calls.
 
         The values *and* the generator state left behind equal those of
-        ``n`` scalar :meth:`draw` calls, so mixing ``draw_many`` blocks
-        with scalar ``draw`` calls (or switching a training run between
-        the block and scalar SGD modes, or resuming either from a
-        checkpoint) leaves every downstream result bit-identical. (A
+        ``n`` scalar :meth:`draw` calls, so how a run is cut into
+        blocks, mixing in scalar ``draw`` calls, or resuming from a
+        checkpoint leaves every downstream result bit-identical. (A
         one-shot ``integers(size=n)`` user draw would *not* be: it maps
         the stream differently from interleaved scalar draws.) This is
-        the block-draw helper behind :func:`repro.optim.sgd.run_sgd`'s
-        block execution mode.
+        the ``draw_block`` every :func:`repro.optim.sgd.run_sgd` fit of
+        TS-PPR and PPR uses; the equivalence tests swap in ``n``
+        :meth:`draw` calls as its oracle.
 
         On PCG64 the draws are computed for the whole block from the
         generator's raw stream (:class:`repro.rng.Uint32Stream`). Other

@@ -16,6 +16,7 @@ from repro.data.split import SplitDataset, temporal_split
 from repro.models.tsppr import TSPPRRecommender
 from repro.synth.gowalla import generate_gowalla
 from repro.synth.lastfm import generate_lastfm
+from training_oracles import scalar_engine  # noqa: F401  (fixture)
 
 #: Window protocol small enough for hand-checkable tests.
 SMALL_WINDOW = WindowConfig(window_size=10, min_gap=2)

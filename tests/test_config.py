@@ -70,6 +70,29 @@ class TestTSPPRConfig:
         with pytest.raises(ValueError, match="batch_fraction"):
             TSPPRConfig(batch_fraction=0.0)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"max_epochs": 0}, "max_epochs"),
+            ({"max_epochs": -5}, "max_epochs"),
+            ({"convergence_tol": 0.0}, "convergence_tol"),
+            ({"convergence_tol": -1.0}, "convergence_tol"),
+            ({"init_scale_latent": -0.1}, "initialization scales"),
+            ({"init_scale_mapping": -0.1}, "initialization scales"),
+        ],
+        ids=["max-epochs-zero", "max-epochs-negative", "tol-zero",
+             "tol-negative", "latent-scale-negative", "mapping-scale-negative"],
+    )
+    def test_rejects_bad_budget_or_scale(self, overrides, message):
+        # Caught at construction, not deep inside fit after sampling
+        # and the feature cache have already run.
+        with pytest.raises(ValueError, match=message):
+            TSPPRConfig(**overrides)
+
+    def test_zero_init_scale_allowed(self):
+        config = TSPPRConfig(init_scale_latent=0.0, init_scale_mapping=0.0)
+        assert config.init_scale_latent == 0.0
+
     def test_with_overrides_returns_new_instance(self):
         base = TSPPRConfig()
         changed = base.with_overrides(n_factors=8)

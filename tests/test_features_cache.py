@@ -8,6 +8,7 @@ from repro.exceptions import SamplingError
 from repro.features.cache import QuadrupleFeatureCache
 from repro.features.vectorizer import BehavioralFeatureModel
 from repro.sampling.quadruples import sample_quadruples
+from training_oracles import build_reference
 
 WINDOW = WindowConfig(window_size=10, min_gap=2)
 
@@ -65,9 +66,7 @@ class TestBuild:
             gowalla_split, WINDOW, n_negatives=3, random_state=5
         )
         fast = QuadrupleFeatureCache.build(quadruples, gowalla_split, model)
-        reference = QuadrupleFeatureCache.build_reference(
-            quadruples, gowalla_split, model
-        )
+        reference = build_reference(quadruples, gowalla_split, model)
         assert np.array_equal(fast.positive, reference.positive)
         assert np.array_equal(fast.negative, reference.negative)
 

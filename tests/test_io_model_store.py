@@ -117,6 +117,53 @@ class TestErrors:
             load_model(directory)
 
 
+def _edit_manifest(directory, edit):
+    manifest = json.loads((directory / "manifest.json").read_text())
+    edit(manifest)
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+
+
+class TestManifestValidation:
+    @pytest.fixture(scope="class")
+    def fitted_ppr(self, gowalla_split):
+        return PPRRecommender(SMOKE).fit(gowalla_split)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m["config"].update(not_a_field=1),
+            lambda m: m["config"].update(n_factors=-1),
+            lambda m: m["window"].update(not_a_field=1),
+            lambda m: m.pop("model_class"),
+        ],
+        ids=["unknown-config-key", "bad-config-value", "unknown-window-key",
+             "missing-model-class"],
+    )
+    def test_malformed_manifest_raises_model_error(
+        self, fitted_ppr, tmp_path, edit
+    ):
+        directory = save_model(fitted_ppr, tmp_path / "ppr")
+        _edit_manifest(directory, edit)
+        with pytest.raises(ModelError):
+            load_model(directory)
+
+    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
+    def test_stored_training_engine_is_ignored(
+        self, fitted_tsppr, gowalla_split, tmp_path, engine
+    ):
+        # Stores saved while the config still had a training-engine
+        # selector carry it in their manifest; they must keep loading.
+        directory = save_model(fitted_tsppr, tmp_path / "tsppr")
+        _edit_manifest(
+            directory, lambda m: m["config"].update(training_engine=engine)
+        )
+        loaded = load_model(directory, split=gowalla_split)
+        assert loaded.config == fitted_tsppr.config
+        assert np.array_equal(
+            _scores(loaded, gowalla_split), _scores(fitted_tsppr, gowalla_split)
+        )
+
+
 class TestCorruptionDetection:
     def _saved_pop(self, gowalla_split, tmp_path):
         model = PopRecommender().fit(gowalla_split)

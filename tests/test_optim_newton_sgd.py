@@ -117,6 +117,21 @@ class TestConvergenceMonitor:
             ConvergenceMonitor(patience=0)
 
 
+def _zeros(k):
+    """A schedule that always draws index 0."""
+    return np.zeros(k, dtype=np.int64)
+
+
+def _each(update):
+    """Apply ``update`` to every drawn index, in order."""
+
+    def apply_block(indices):
+        for index in indices.tolist():
+            update(index)
+
+    return apply_block
+
+
 class TestRunSGD:
     def test_stops_on_convergence(self):
         state = {"x": 0.0}
@@ -125,8 +140,8 @@ class TestRunSGD:
             state["x"] += (1.0 - state["x"]) * 0.5
 
         result = run_sgd(
-            draw_index=lambda: 0,
-            apply_update=update,
+            draw_block=_zeros,
+            apply_block=_each(update),
             batch_margin=lambda: state["x"],
             max_updates=10_000,
             check_interval=10,
@@ -143,8 +158,8 @@ class TestRunSGD:
             counter["n"] += 1
 
         result = run_sgd(
-            draw_index=lambda: 0,
-            apply_update=update,
+            draw_block=_zeros,
+            apply_block=_each(update),
             batch_margin=lambda: float(counter["n"]),  # never stabilizes
             max_updates=55,
             check_interval=10,
@@ -156,8 +171,8 @@ class TestRunSGD:
 
     def test_margin_history_checkpoints(self):
         result = run_sgd(
-            draw_index=lambda: 0,
-            apply_update=lambda i: None,
+            draw_block=_zeros,
+            apply_block=lambda indices: None,
             batch_margin=lambda: 1.0,
             max_updates=100,
             check_interval=25,
@@ -169,9 +184,9 @@ class TestRunSGD:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_sgd(lambda: 0, lambda i: None, lambda: 0.0, 0, 1)
+            run_sgd(_zeros, lambda indices: None, lambda: 0.0, 0, 1)
         with pytest.raises(ValueError):
-            run_sgd(lambda: 0, lambda i: None, lambda: 0.0, 10, 0)
+            run_sgd(_zeros, lambda indices: None, lambda: 0.0, 10, 0)
 
     def test_budget_smaller_than_check_interval(self):
         """Regression: max_updates < check_interval must still record a
@@ -182,8 +197,8 @@ class TestRunSGD:
             counter["n"] += 1
 
         result = run_sgd(
-            draw_index=lambda: 0,
-            apply_update=update,
+            draw_block=_zeros,
+            apply_block=_each(update),
             batch_margin=lambda: float(counter["n"]),
             max_updates=3,
             check_interval=100,
@@ -204,7 +219,7 @@ class TestRunSGD:
 
 class TestRunSGDBlockMode:
     def _problem(self, seed=0):
-        """A tiny SGD problem runnable in either execution mode.
+        """A tiny SGD problem drawn from a seeded generator.
 
         The "parameters" are a counter vector; updates add their index,
         so any reordering or double-application changes the result.
@@ -222,53 +237,46 @@ class TestRunSGDBlockMode:
             state["drawn"].append(index)
             state["x"][index] += 1.0 + 0.01 * index
 
-        def apply_block(indices):
-            for index in indices:
-                apply_update(int(index))
-
         def batch_margin():
             return float(state["x"].sum())
 
-        return state, draw_index, draw_block, apply_update, apply_block, batch_margin
+        return state, draw_index, draw_block, apply_update, batch_margin
 
     def test_block_mode_matches_scalar_mode(self):
-        state_s, draw, _, update, _, margin_s = self._problem(seed=7)
-        scalar = run_sgd(
-            draw_index=draw,
-            apply_update=update,
-            batch_margin=margin_s,
-            max_updates=95,
-            check_interval=20,
-            tol=1e-12,
-        )
-        state_b, _, draw_block, _, apply_block, margin_b = self._problem(seed=7)
+        # The seed's one-update-at-a-time loop, written out: draw, apply,
+        # and check the margin after every full interval and at the end.
+        state_s, draw, _, update, margin_s = self._problem(seed=7)
+        history = [(0, margin_s())]
+        for n in range(1, 96):
+            update(draw())
+            if n % 20 == 0 or n == 95:
+                history.append((n, margin_s()))
+
+        state_b, _, draw_block, update_b, margin_b = self._problem(seed=7)
         block = run_sgd(
-            draw_index=None,
-            apply_update=None,
             draw_block=draw_block,
-            apply_block=apply_block,
+            apply_block=_each(update_b),
             batch_margin=margin_b,
             max_updates=95,
             check_interval=20,
             tol=1e-12,
         )
-        assert scalar == block  # n_updates, converged, margin history
+        assert block.n_updates == 95 and not block.converged
+        assert block.margin_history == tuple(history)
         assert np.array_equal(state_s["x"], state_b["x"])
         assert state_s["drawn"] == state_b["drawn"]
 
     def test_blocks_never_cross_check_boundaries(self):
         sizes = []
-        _, _, draw_block, _, apply_block, _ = self._problem()
+        _, _, draw_block, update, _ = self._problem()
 
         def logging_draw(k):
             sizes.append(k)
             return draw_block(k)
 
         run_sgd(
-            draw_index=None,
-            apply_update=None,
             draw_block=logging_draw,
-            apply_block=apply_block,
+            apply_block=_each(update),
             batch_margin=lambda: float(len(sizes)),  # never stabilizes
             max_updates=55,
             check_interval=20,
@@ -276,37 +284,3 @@ class TestRunSGDBlockMode:
         )
         # Whole check intervals, then the budget remainder.
         assert sizes == [20, 20, 15]
-
-    def test_block_mode_requires_both_callables(self):
-        _, draw, draw_block, update, apply_block, margin = self._problem()
-        with pytest.raises(ValueError, match="block mode requires both"):
-            run_sgd(
-                draw_index=draw,
-                apply_update=update,
-                draw_block=draw_block,
-                apply_block=None,
-                batch_margin=margin,
-                max_updates=10,
-                check_interval=5,
-            )
-        with pytest.raises(ValueError, match="block mode requires both"):
-            run_sgd(
-                draw_index=draw,
-                apply_update=update,
-                draw_block=None,
-                apply_block=apply_block,
-                batch_margin=margin,
-                max_updates=10,
-                check_interval=5,
-            )
-
-    def test_scalar_mode_requires_both_callables(self):
-        _, draw, _, _, _, margin = self._problem()
-        with pytest.raises(ValueError, match="scalar mode requires both"):
-            run_sgd(
-                draw_index=draw,
-                apply_update=None,
-                batch_margin=margin,
-                max_updates=10,
-                check_interval=5,
-            )

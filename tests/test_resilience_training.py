@@ -23,11 +23,12 @@ def make_problem(seed, n=50):
     target = np.linspace(-1.0, 1.0, n)
     params = {"w": np.zeros(n)}
 
-    def draw_index():
-        return int(rng.integers(n))
+    def draw_block(k):
+        return rng.integers(n, size=k)
 
-    def apply_update(i):
-        params["w"][i] += 0.2 * (target[i] - params["w"][i])
+    def apply_block(indices):
+        for i in indices.tolist():
+            params["w"][i] += 0.2 * (target[i] - params["w"][i])
 
     def batch_margin():
         return float(-np.mean((params["w"] - target) ** 2))
@@ -41,8 +42,8 @@ def make_problem(seed, n=50):
     return {
         "rng": rng,
         "params": params,
-        "draw_index": draw_index,
-        "apply_update": apply_update,
+        "draw_block": draw_block,
+        "apply_block": apply_block,
         "batch_margin": batch_margin,
         "get_state": get_state,
         "set_state": set_state,
@@ -51,8 +52,8 @@ def make_problem(seed, n=50):
 
 def _run(problem, checkpoint=None, fault_injector=None):
     return run_sgd(
-        problem["draw_index"],
-        problem["apply_update"],
+        problem["draw_block"],
+        problem["apply_block"],
         problem["batch_margin"],
         max_updates=500,
         check_interval=50,
@@ -111,8 +112,8 @@ class TestRunSGDResume:
         problem = make_problem(3)
         with pytest.raises(ValueError, match="get_state"):
             run_sgd(
-                problem["draw_index"],
-                problem["apply_update"],
+                problem["draw_block"],
+                problem["apply_block"],
                 problem["batch_margin"],
                 max_updates=10,
                 check_interval=5,
@@ -159,16 +160,15 @@ class TestModelResume:
         assert resumed.sgd_result_ == reference.sgd_result_
 
     def test_tsppr_block_mode_resume_matches_scalar_run(
-        self, gowalla_split, tmp_path
+        self, gowalla_split, tmp_path, scalar_engine
     ):
-        """Crash under the vectorized (block SGD) engine, resume, and
-        compare against an *uninterrupted scalar* run: the crash/resume
-        cycle and the engine swap must both be invisible."""
-        scalar_reference = TSPPRRecommender(
-            TSPPRConfig(max_epochs=4000, seed=8, training_engine="scalar")
-        ).fit(gowalla_split)
+        """Crash a fit, resume it, and compare against an *uninterrupted*
+        run of the seed's scalar pipeline: the crash/resume cycle and
+        the engine must both be invisible."""
+        config = TSPPRConfig(max_epochs=4000, seed=8)
+        with scalar_engine():
+            scalar_reference = TSPPRRecommender(config).fit(gowalla_split)
 
-        config = TSPPRConfig(max_epochs=4000, seed=8, training_engine="vectorized")
         crash_at = scalar_reference.sgd_result_.n_updates // 2
         with pytest.raises(FaultInjected):
             TSPPRRecommender(config).fit(
@@ -235,15 +235,11 @@ class TestModelResume:
         assert resumed.sgd_result_ == reference.sgd_result_
 
     @pytest.mark.tier2
-    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
     @pytest.mark.parametrize("fault_seed", [0, 1, 2, 3, 4])
-    def test_seeded_crash_point_sweep(
-        self, gowalla_split, tmp_path, fault_seed, engine
-    ):
-        """Seed-driven crash points under both execution engines:
-        wherever the kill lands, resume reproduces the uninterrupted
-        run exactly."""
-        config = TSPPRConfig(max_epochs=4000, seed=8, training_engine=engine)
+    def test_seeded_crash_point_sweep(self, gowalla_split, tmp_path, fault_seed):
+        """Seed-driven crash points: wherever the kill lands, resume
+        reproduces the uninterrupted run exactly."""
+        config = TSPPRConfig(max_epochs=4000, seed=8)
         reference = TSPPRRecommender(config).fit(gowalla_split)
         injector = FaultInjector.from_seed(
             fault_seed, max_update=reference.sgd_result_.n_updates

@@ -11,13 +11,10 @@ from repro.data.split import temporal_split
 from repro.exceptions import SamplingError
 from repro.models.fpmc import draw_pairs
 from repro.rng import Uint32Stream
-from repro.sampling.quadruples import (
-    QuadrupleSet,
-    sample_quadruples,
-    sample_quadruples_reference,
-)
+from repro.sampling.quadruples import QuadrupleSet, sample_quadruples
 from repro.sampling.schedule import UserUniformSchedule, small_batch_indices
 from repro.windows.repeat import is_valid_target, recent_items, window_before
+from training_oracles import sample_quadruples_reference
 
 WINDOW = WindowConfig(window_size=10, min_gap=2)
 

@@ -1,10 +1,11 @@
-"""Scalar vs vectorized training engines must match bit for bit.
+"""The training engine must match the seed's scalar pipeline bit for bit.
 
-The ``training_engine="vectorized"`` pipeline (incremental-session
-sampling, session-walk feature cache, dependency-batched block SGD) is a
-pure performance path: every learned parameter array, the margin
-history, and the sampled quadruples must equal the seed-style scalar
-pipeline exactly — ``np.array_equal``, not ``allclose``. These tests pin
+Every fit runs incremental-session sampling, the session-walk feature
+cache and dependency-batched block SGD. Each is a pure performance
+path: every learned parameter array, the margin history, and the
+sampled quadruples must equal the seed-style scalar pipeline
+(``tests/training_oracles.py``, swapped in by the ``scalar_engine``
+fixture) exactly — ``np.array_equal``, not ``allclose``. These tests pin
 that contract for every model and config ablation, plus the individual
 batched-numpy identities the block kernels rely on.
 """
@@ -25,14 +26,15 @@ from repro.sampling.quadruples import sample_quadruples
 WINDOW = WindowConfig(window_size=10, min_gap=2)
 
 
-def _fit_pair(model_factory, split, **fit_kwargs):
-    """Fit the same model under both engines; returns (scalar, vectorized)."""
-    fitted = []
-    for engine in ("scalar", "vectorized"):
-        model = model_factory(engine)
-        model.fit(split, WINDOW, **fit_kwargs)
-        fitted.append(model)
-    return fitted
+def _fit_pair(model_factory, split, scalar_engine):
+    """Fit the same model under the seed oracle and the shipped engine.
+
+    Returns ``(scalar, vectorized)``.
+    """
+    with scalar_engine():
+        scalar = model_factory().fit(split, WINDOW)
+    vectorized = model_factory().fit(split, WINDOW)
+    return scalar, vectorized
 
 
 class TestBatchedOpIdentities:
@@ -83,40 +85,39 @@ def _assert_tsppr_equal(scalar, vectorized):
 
 
 class TestTSPPREquivalence:
-    def test_full_fit_bit_identical(self, gowalla_split):
+    def test_full_fit_bit_identical(self, gowalla_split, scalar_engine):
         scalar, vectorized = _fit_pair(
-            lambda engine: TSPPRRecommender(
-                TSPPRConfig(max_epochs=6000, seed=11, training_engine=engine)
-            ),
+            lambda: TSPPRRecommender(TSPPRConfig(max_epochs=6000, seed=11)),
             gowalla_split,
+            scalar_engine,
         )
         _assert_tsppr_equal(scalar, vectorized)
 
-    def test_shared_mapping_bit_identical(self, gowalla_split):
+    def test_shared_mapping_bit_identical(self, gowalla_split, scalar_engine):
         scalar, vectorized = _fit_pair(
-            lambda engine: TSPPRRecommender(
+            lambda: TSPPRRecommender(
                 TSPPRConfig(
                     max_epochs=3000,
                     seed=12,
                     share_mapping=True,
-                    training_engine=engine,
                 )
             ),
             gowalla_split,
+            scalar_engine,
         )
         _assert_tsppr_equal(scalar, vectorized)
 
-    def test_no_static_term_bit_identical(self, gowalla_split):
+    def test_no_static_term_bit_identical(self, gowalla_split, scalar_engine):
         scalar, vectorized = _fit_pair(
-            lambda engine: TSPPRRecommender(
+            lambda: TSPPRRecommender(
                 TSPPRConfig(
                     max_epochs=3000,
                     seed=13,
                     use_static_term=False,
-                    training_engine=engine,
                 )
             ),
             gowalla_split,
+            scalar_engine,
         )
         _assert_tsppr_equal(scalar, vectorized)
 
@@ -133,24 +134,22 @@ class TestTSPPREquivalence:
 
 
 class TestBaselineEquivalence:
-    def test_ppr_bit_identical(self, gowalla_split):
+    def test_ppr_bit_identical(self, gowalla_split, scalar_engine):
         scalar, vectorized = _fit_pair(
-            lambda engine: PPRRecommender(
-                TSPPRConfig(max_epochs=6000, seed=21, training_engine=engine)
-            ),
+            lambda: PPRRecommender(TSPPRConfig(max_epochs=6000, seed=21)),
             gowalla_split,
+            scalar_engine,
         )
         assert np.array_equal(scalar.user_factors_, vectorized.user_factors_)
         assert np.array_equal(scalar.item_factors_, vectorized.item_factors_)
         assert scalar.sgd_result_ == vectorized.sgd_result_
         assert scalar.n_quadruples_ == vectorized.n_quadruples_
 
-    def test_fpmc_bit_identical(self, gowalla_split):
+    def test_fpmc_bit_identical(self, gowalla_split, scalar_engine):
         scalar, vectorized = _fit_pair(
-            lambda engine: FPMCRecommender(
-                TSPPRConfig(max_epochs=4000, seed=22, training_engine=engine)
-            ),
+            lambda: FPMCRecommender(TSPPRConfig(max_epochs=4000, seed=22)),
             gowalla_split,
+            scalar_engine,
         )
         assert np.array_equal(scalar.user_factors_, vectorized.user_factors_)
         assert np.array_equal(
@@ -194,31 +193,31 @@ def single_quadruple_split():
 class TestSingleQuadrupleUser:
     """The exact block draw against the scalar engine, chain walk included."""
 
-    def test_tsppr_bit_identical(self, single_quadruple_split):
+    def test_tsppr_bit_identical(self, single_quadruple_split, scalar_engine):
         scalar, vectorized = _fit_pair(
-            lambda engine: TSPPRRecommender(
+            lambda: TSPPRRecommender(
                 TSPPRConfig(
                     max_epochs=4000,
                     seed=31,
                     convergence_tol=1e-12,
-                    training_engine=engine,
                 )
             ),
             single_quadruple_split,
+            scalar_engine,
         )
         _assert_tsppr_equal(scalar, vectorized)
 
-    def test_fpmc_bit_identical(self, single_quadruple_split):
+    def test_fpmc_bit_identical(self, single_quadruple_split, scalar_engine):
         scalar, vectorized = _fit_pair(
-            lambda engine: FPMCRecommender(
+            lambda: FPMCRecommender(
                 TSPPRConfig(
                     max_epochs=4000,
                     seed=32,
                     convergence_tol=1e-12,
-                    training_engine=engine,
                 )
             ),
             single_quadruple_split,
+            scalar_engine,
         )
         assert scalar.sgd_result_.n_updates > 1000
         for name in (
@@ -239,7 +238,6 @@ class TestSingleQuadrupleUser:
             max_epochs=4000,
             seed=33,
             convergence_tol=1e-12,
-            training_engine="vectorized",
         )
         reference = TSPPRRecommender(config).fit(single_quadruple_split, WINDOW)
         crash_at = reference.sgd_result_.n_updates // 2
