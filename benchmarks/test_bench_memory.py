@@ -3,17 +3,19 @@
 Two guards over a serving-scale population with long histories:
 
 * **Resident bytes per active user** — the same training prefixes are
-  held by the dict/list reference store and by the columnar arena;
+  held by the dict/list reference store
+  (:class:`~repro.store.DictHistoryStore`) and by the columnar arena;
   deterministic ``deep_sizeof`` accounting (allocator- and RSS-noise
   free) must show the arena **>= 4x** smaller per active user. The
   mmap-backed arena's heap residency is recorded alongside for scale —
   its columns live in file pages, not on the heap.
 * **Rehydration latency** — an LRU ``SessionStore`` with capacity 1 is
-  churned so every ``get`` rebuilds an evicted session. Over the legacy
-  callable provider a rebuild re-fetches and re-copies the user's full
-  base history; over the arena it seeds from an O(window) suffix
-  gather. The guard requires the arena rehydration p99 at or below the
-  callable path's, with bit-identical fingerprints.
+  churned so every ``get`` rebuilds an evicted session over the arena,
+  seeding from an O(window) suffix gather. The comparand is the
+  full-copy rebuild serving used before the arena: fetch the user's
+  base history and build a list-carrying ``LiveSession`` over it. The
+  guard requires the arena rehydration p99 at or below the full copy's,
+  with bit-identical fingerprints.
 
 Both are recorded to ``BENCH_memory.json`` via the session-scoped
 ``bench_record`` fixture, next to the serving/cluster trajectories.
@@ -28,8 +30,8 @@ import pytest
 
 from repro.config import WindowConfig
 from repro.data.split import temporal_split
-from repro.serving.state import SessionStore
-from repro.store import store_memory_profile
+from repro.serving.state import LiveSession, SessionStore
+from repro.store import DictHistoryStore, store_memory_profile
 from repro.synth.base import SyntheticConfig, generate_dataset
 
 pytestmark = pytest.mark.bench
@@ -62,16 +64,19 @@ def mem_split():
 
 def test_resident_bytes_per_user(bench_record, mem_split, tmp_path):
     users = range(mem_split.n_users)
-    profiles = {}
-    for kind in ("dict", "arena", "arena-mmap"):
-        store = mem_split.history_store(
-            kind=kind,
-            base="train",
-            directory=(
-                str(tmp_path / "arena") if kind == "arena-mmap" else None
-            ),
-        )
-        profiles[kind] = store_memory_profile(store, users)
+    stores = {
+        "dict": DictHistoryStore.from_histories(
+            mem_split.train_sequence(user).items for user in users
+        ),
+        "arena": mem_split.history_store(base="train"),
+        "arena-mmap": mem_split.history_store(
+            base="train", directory=str(tmp_path / "arena")
+        ),
+    }
+    profiles = {
+        kind: store_memory_profile(store, users)
+        for kind, store in stores.items()
+    }
     ratio = (
         profiles["dict"]["bytes_per_user"]
         / profiles["arena"]["bytes_per_user"]
@@ -98,60 +103,60 @@ def test_resident_bytes_per_user(bench_record, mem_split, tmp_path):
     )
 
 
-def _churn_latencies(session_store: SessionStore, users) -> List[float]:
-    latencies: List[float] = []
+def _interleaved_latencies(builds, users) -> Dict[str, List[float]]:
+    """Time each build per (round, user), alternating between builds so
+    a change in host speed hits every build alike."""
+    latencies: Dict[str, List[float]] = {name: [] for name in builds}
     for _ in range(CHURN_ROUNDS):
         for user in users:
-            start = time.perf_counter()
-            session_store.get(user)
-            latencies.append(time.perf_counter() - start)
+            for name, build in builds.items():
+                start = time.perf_counter()
+                build(user)
+                latencies[name].append(time.perf_counter() - start)
     return latencies
 
 
 def test_rehydration_latency(bench_record, loadgen, mem_split):
     users = list(range(CHURN_USERS))
-    arena_provider = mem_split.history_store(kind="arena", base="train")
+    store = SessionStore(
+        WINDOW.window_size,
+        WINDOW.min_gap,
+        capacity=1,
+        history_provider=mem_split.history_store(base="train"),
+    )
 
-    def callable_provider(user: int):
-        if 0 <= user < mem_split.n_users:
-            return mem_split.train_sequence(user)
-        return None
-
-    stores: Dict[str, SessionStore] = {
-        name: SessionStore(
+    def full_copy(user: int) -> LiveSession:
+        return LiveSession(
+            user,
             WINDOW.window_size,
             WINDOW.min_gap,
-            capacity=1,
-            history_provider=provider,
+            history=mem_split.train_sequence(user),
         )
-        for name, provider in (
-            ("callable", callable_provider),
-            ("arena", arena_provider),
-        )
-    }
-    # The two representations must be indistinguishable before they are
+
+    # The two rebuilds must be indistinguishable before they are
     # comparable: same digests for every churned user.
     for user in users:
-        assert stores["arena"].state_fingerprint(user) == (
-            stores["callable"].state_fingerprint(user)
+        assert store.state_fingerprint(user) == (
+            full_copy(user).state_fingerprint()
         )
+    builds = {"full_copy": full_copy, "arena": store.get}
     tails = {
-        name: loadgen.percentiles_ms(_churn_latencies(store, users))
-        for name, store in stores.items()
+        name: loadgen.percentiles_ms(latencies)
+        for name, latencies in _interleaved_latencies(builds, users).items()
     }
     bench_record(
         "memory",
         "rehydration_latency",
-        callable_p50_ms=tails["callable"]["p50_ms"],
-        callable_p99_ms=tails["callable"]["p99_ms"],
+        full_copy_p50_ms=tails["full_copy"]["p50_ms"],
+        full_copy_p99_ms=tails["full_copy"]["p99_ms"],
         arena_p50_ms=tails["arena"]["p50_ms"],
         arena_p99_ms=tails["arena"]["p99_ms"],
         churn_gets=CHURN_USERS * CHURN_ROUNDS,
     )
     print(
-        f"\nrehydration p99: callable {tails['callable']['p99_ms']:.3f}ms, "
+        f"\nrehydration p99: full copy {tails['full_copy']['p99_ms']:.3f}ms, "
         f"arena {tails['arena']['p99_ms']:.3f}ms"
     )
-    assert tails["arena"]["p99_ms"] <= tails["callable"]["p99_ms"], (
-        "arena rehydration is slower than the full-copy callable path"
+    assert tails["arena"]["p99_ms"] <= tails["full_copy"]["p99_ms"], (
+        "arena rehydration is slower than the full-copy rebuild"
     )

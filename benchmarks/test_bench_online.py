@@ -93,16 +93,11 @@ def held_out_stream(split: SplitDataset) -> List[Tuple[int, int]]:
 
 
 def fresh_store(split: SplitDataset) -> SessionStore:
-    def base_history(user: int):
-        if 0 <= user < split.n_users:
-            return split.train_sequence(user)
-        return None
-
     return SessionStore(
         WINDOW.window_size,
         WINDOW.min_gap,
         capacity=max(split.n_users, 1),
-        history_provider=base_history,
+        history_provider=split.history_store(base="train"),
     )
 
 

@@ -145,7 +145,7 @@ class ClusterRouter:
             supervisor.config.window.window_size,
             supervisor.config.window.min_gap,
             capacity=256,
-            history_provider=supervisor.history_provider(),
+            history_provider=supervisor.split.history_store(base="train"),
         )
         self._default_k = supervisor.config.default_k
         self.counters: Dict[str, int] = {

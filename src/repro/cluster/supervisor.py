@@ -45,7 +45,7 @@ import signal
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.cluster.ring import HashRing
 from repro.cluster.worker import WorkerSpec, read_endpoint, run_worker
@@ -163,12 +163,11 @@ class ShardSupervisor:
     start_timeout_s:
         How long to wait for a spawned worker to publish its endpoint
         and answer ``/healthz``.
-    store:
-        History backing of every shard's sessions (see
-        :func:`repro.serving.service.service_for_split`). With
-        ``"arena-mmap"`` the supervisor packs the training histories
-        once under ``run_dir/arena`` before spawning, and all shards map
-        that one read-only copy.
+    store_dir:
+        Optional directory for the shards' base-history arena. When
+        given, the supervisor packs the training histories there once
+        before spawning, and all shards memory-map that one read-only
+        copy; otherwise each shard packs a private heap arena.
     """
 
     def __init__(
@@ -186,7 +185,7 @@ class ShardSupervisor:
         max_missed_heartbeats: int = 3,
         fsync_policy: str = "always",
         start_timeout_s: float = 60.0,
-        store: str = "arena",
+        store_dir: Optional[Union[str, Path]] = None,
     ) -> None:
         if n_shards < 1:
             raise ServingError(f"n_shards must be >= 1, got {n_shards}")
@@ -204,15 +203,11 @@ class ShardSupervisor:
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.max_missed_heartbeats = max_missed_heartbeats
         self.start_timeout_s = start_timeout_s
-        self.store = store
-        store_dir: Optional[Path] = None
-        if store == "arena-mmap":
+        self.store_dir = Path(store_dir) if store_dir is not None else None
+        if self.store_dir is not None:
             # Pack once before any fork; every shard then opens the same
             # saved columns read-only instead of re-packing per process.
-            store_dir = self.run_dir / "arena"
-            split.history_store(
-                kind="arena-mmap", base="train", directory=str(store_dir)
-            )
+            split.history_store(base="train", directory=str(self.store_dir))
         names = [f"shard-{index}" for index in range(n_shards)]
         self.ring = HashRing(names, vnodes=vnodes)
         self._handles: Dict[str, WorkerHandle] = {
@@ -224,8 +219,7 @@ class ShardSupervisor:
                     host=host,
                     capacity=capacity,
                     fsync_policy=fsync_policy,
-                    store=store,
-                    store_dir=store_dir,
+                    store_dir=self.store_dir,
                 )
             )
             for name in names
@@ -278,17 +272,6 @@ class ShardSupervisor:
             handle = self._handles[owner]
             url = handle.url if handle.state == RUNNING else None
         return owner, url
-
-    def history_provider(self) -> Callable:
-        """Base-history fetch over the supervisor's split (shared shape)."""
-        split = self.split
-
-        def history(user: int):
-            if 0 <= user < split.n_users:
-                return split.train_sequence(user)
-            return None
-
-        return history
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -471,10 +454,10 @@ class ShardSupervisor:
 
         Pure readonly inspection: replay the shard's committed WAL over
         the base histories — the single-node recovery rule — without
-        touching the artifact. Deliberately built on the legacy callable
-        provider regardless of ``self.store``: comparing these digests
-        against an arena-backed worker's proves the two history
-        representations are bit-identical, not just self-consistent.
+        touching the artifact. The replay runs over a freshly packed
+        heap arena, never over the shard's own (possibly shared, mapped)
+        files, so the gate checks the worker against an independent
+        rebuild.
         """
         spec = self._handle(name).spec
         if not spec.log_path.exists():
@@ -484,7 +467,7 @@ class ShardSupervisor:
             self.config.window.window_size,
             self.config.window.min_gap,
             capacity=max(len(log.users()), 1),
-            history_provider=self.history_provider(),
+            history_provider=self.split.history_store(base="train"),
             event_source=log.events_for,
         )
         targets = log.users() if users is None else users

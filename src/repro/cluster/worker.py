@@ -65,16 +65,12 @@ class WorkerSpec:
     fsync_policy:
         The shard WAL's durability policy (see
         :meth:`~repro.serving.events.EventLog.open`).
-    store:
-        History backing of the shard's sessions — one of
-        ``repro.store.STORE_KINDS`` (the default ``"arena"`` packs the
-        base histories into a columnar arena segment private to the
-        shard) or ``"callable"`` for the legacy per-user fetch.
     store_dir:
-        ``"arena-mmap"`` only: where the packed columns live. The
+        Where the packed base-history columns live, memory-mapped. The
         supervisor points every shard at one shared saved arena, so N
         shards on one box map the same read-only pages instead of
-        holding N copies.
+        holding N copies. ``None``: each shard packs a private heap
+        arena.
     """
 
     name: str
@@ -83,7 +79,6 @@ class WorkerSpec:
     host: str = "127.0.0.1"
     capacity: int = 1024
     fsync_policy: str = "always"
-    store: str = "arena"
     store_dir: Optional[Path] = None
 
 
@@ -127,7 +122,6 @@ def run_worker(
         event_log=event_log,
         config=config,
         capacity=spec.capacity,
-        store=spec.store,
         store_dir=spec.store_dir,
     )
     server = RecommendServer(service, host=spec.host, port=0)

@@ -109,19 +109,18 @@ class Dataset:
     def n_items(self) -> int:
         return len(self.item_vocab)
 
-    def history_store(self, kind: str = "arena", directory: Optional[str] = None):
-        """This dataset's histories behind the ``HistoryStore`` protocol.
+    def history_store(self, directory: Optional[str] = None):
+        """This dataset's histories in a columnar arena store.
 
-        ``kind`` is one of ``repro.store.STORE_KINDS``; the default packs
-        every sequence into a columnar
+        Every sequence is packed into an
         :class:`~repro.store.arena.ArenaHistoryStore` whose per-user
-        reads are zero-copy views.
+        reads are zero-copy views; with ``directory`` the columns are
+        saved there and memory-mapped.
         """
         from repro.store import make_history_store
 
         return make_history_store(
             (sequence.items for sequence in self._sequences),
-            kind=kind,
             directory=directory,
         )
 

@@ -94,17 +94,16 @@ class SplitDataset:
         )
 
     def history_store(
-        self,
-        kind: str = "arena",
-        base: str = "train",
-        directory: Optional[str] = None,
+        self, base: str = "train", directory: Optional[str] = None
     ):
-        """The split's histories behind the ``HistoryStore`` protocol.
+        """The split's histories packed into a columnar arena store.
 
         ``base="train"`` packs each user's training prefix — the serving
         topology, where the test suffix arrives later as live events.
         ``base="full"`` packs the complete sequences — the offline
         evaluation topology, where the walk reads the whole history.
+        With ``directory`` the columns are saved there and memory-mapped
+        (see :func:`repro.store.make_history_store`).
         """
         from repro.store import make_history_store
 
@@ -122,7 +121,7 @@ class SplitDataset:
             raise SplitError(
                 f"base must be 'train' or 'full', got {base!r}"
             )
-        return make_history_store(histories, kind=kind, directory=directory)
+        return make_history_store(histories, directory=directory)
 
     def n_train_consumptions(self) -> int:
         return sum(self.boundaries)

@@ -109,17 +109,11 @@ def prequential_walk(
     arrives. Without one, only session state advances — the frozen arm.
     """
     window = model.window_config
-
-    def base_history(user: int):
-        if 0 <= user < split.n_users:
-            return split.train_sequence(user)
-        return None
-
     store = SessionStore(
         window.window_size,
         window.min_gap,
         capacity=max(split.n_users, 1),
-        history_provider=base_history,
+        history_provider=split.history_store(base="train"),
     )
     hits: List[bool] = []
     for user, item in stream:

@@ -6,10 +6,12 @@ trained artifacts into a long-lived service that ingests consumption
 events as they happen and answers "what should user *u* reconsume
 now?", while staying bit-identical to the offline evaluation protocol:
 
-* :mod:`~repro.serving.state` — :class:`LiveSession` (the engine's
-  window/Ω/recency bookkeeping with an O(1) live ``append`` path) and
-  :class:`SessionStore` (LRU-bounded residency with transparent
-  rehydration from base history + event-log replay);
+* :mod:`~repro.serving.state` — :class:`SessionStore` (LRU-bounded
+  residency of :class:`~repro.store.session.StoreSession` objects over
+  one columnar history arena; an evicted user is re-seeded from the
+  store, replaying only event-log records it lacks) and
+  :class:`LiveSession` (the list-carrying window/Ω/recency oracle the
+  equivalence suites compare against);
 * :mod:`~repro.serving.events` — the crc-checked append-only
   :class:`EventLog`, written write-ahead so crash recovery is pure
   replay;

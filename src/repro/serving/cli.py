@@ -62,7 +62,6 @@ KNOB_ARGS = (
     "check_interval",
     "max_inflight_rows",
     "capacity",
-    "store",
     "online",
     "online_lr",
     "online_batch",
@@ -125,24 +124,16 @@ def resolve_knob_args(
     return resolved
 
 
-def add_store_arguments(
-    parser: argparse.ArgumentParser, include_dir: bool = True
-) -> None:
-    """History-backing options shared by serve, cluster, and replay."""
+def add_store_arguments(parser: argparse.ArgumentParser) -> None:
+    """The history-backing option shared by serve, cluster, and replay."""
     parser.add_argument(
-        "--store",
+        "--store-dir",
+        type=Path,
         default=None,
-        choices=knob("serving", "store").choices,
-        help=_knob_flag_help("store"),
+        help="save the packed base-history arena here and memory-map it "
+        "(reused if it already holds the same histories; default: "
+        "heap arena)",
     )
-    if include_dir:
-        parser.add_argument(
-            "--store-dir",
-            type=Path,
-            default=None,
-            help="arena-mmap only: directory for the packed columns "
-            "(default: a fresh temporary directory)",
-        )
 
 
 def add_online_arguments(
@@ -288,9 +279,9 @@ def add_cluster_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="per-shard " + _knob_flag_help("capacity"),
     )
-    # The supervisor owns the packed-column location (run_dir/arena), so
-    # the cluster form has no --store-dir.
-    add_store_arguments(parser, include_dir=False)
+    # The supervisor packs once into --store-dir before forking, and
+    # every shard maps those columns.
+    add_store_arguments(parser)
     parser.add_argument(
         "--vnodes",
         type=int,
@@ -429,7 +420,6 @@ def run_serve(args: argparse.Namespace) -> int:
         event_log=event_log,
         config=config,
         capacity=int(knobs["capacity"]),  # type: ignore[arg-type]
-        store=str(knobs["store"]),
         store_dir=(
             str(args.store_dir) if args.store_dir is not None else None
         ),
@@ -481,7 +471,7 @@ def run_cluster(args: argparse.Namespace) -> int:
         vnodes=args.vnodes,
         heartbeat_interval_s=args.heartbeat_interval,
         fsync_policy=args.fsync_policy,
-        store=str(knobs["store"]),
+        store_dir=args.store_dir,
     )
     supervisor.start()
     router = ClusterRouter(supervisor, host=args.host, port=args.port)
@@ -517,17 +507,12 @@ def run_replay_online(args: argparse.Namespace) -> int:
         batch_window=int(resolved["online_batch"].value),
     )
 
-    def base_history(user: int):
-        if 0 <= user < split.n_users:
-            return split.train_sequence(user)
-        return None
-
     window = WindowConfig()
     store = SessionStore(
         window.window_size,
         window.min_gap,
         capacity=max(split.n_users, 1),
-        history_provider=base_history,
+        history_provider=split.history_store(base="train"),
     )
     ts_seen = []
 
@@ -563,11 +548,9 @@ def run_replay(args: argparse.Namespace) -> int:
     online = args.online if args.online is not None else "off"
     if online != "off":
         return run_replay_online(args)
-    resolved = resolve_knob_args(args, "serving", ("store",))
     log = EventLog.open(args.event_log, readonly=True)
     split = build_split(args.dataset, args.seed)
     provider = split.history_store(
-        kind=str(resolved["store"].value),
         base="train",
         directory=(
             str(args.store_dir) if args.store_dir is not None else None

@@ -857,7 +857,6 @@ def service_for_split(
     event_log: Optional[EventLog] = None,
     config: Optional[ServiceConfig] = None,
     capacity: int = int(_KNOB_DEFAULTS["capacity"]),  # type: ignore[arg-type]
-    store: str = str(_KNOB_DEFAULTS["store"]),
     store_dir: Optional[str] = None,
     online_checkpoint_dir: Optional[str] = None,
 ) -> RecommendService:
@@ -868,14 +867,10 @@ def service_for_split(
     as live events, so replaying it through :meth:`RecommendService.step`
     reproduces the offline evaluation protocol position for position.
 
-    ``store`` selects the history backing: one of
-    ``repro.store.STORE_KINDS`` (``"arena"`` — the default columnar
-    session-memory arena, ``"arena-mmap"`` — the same columns persisted
-    under ``store_dir`` and memory-mapped, ``"dict"`` — the Python
-    dict/list reference), or ``"callable"`` for the legacy per-user
-    fetch through ``split.train_sequence``. Every kind answers
-    bit-identically; they differ in resident memory and rehydration
-    cost (``BENCH_memory.json``).
+    The training prefixes are packed into a columnar session-memory
+    arena: on the heap, or — with ``store_dir`` — saved there and
+    memory-mapped (a directory already holding the same arena is
+    reused). Both answer bit-identically.
 
     With ``config.online="isgd"`` an
     :class:`~repro.online.trainer.OnlineTrainer` is built over the
@@ -890,18 +885,7 @@ def service_for_split(
     live trainer would hold.
     """
     config = config or ServiceConfig(n_items=split.n_items)
-
-    def base_history(user: int):
-        if 0 <= user < split.n_users:
-            return split.train_sequence(user)
-        return None
-
-    if store == "callable":
-        provider = base_history
-    else:
-        provider = split.history_store(
-            kind=store, base="train", directory=store_dir
-        )
+    history_store = split.history_store(base="train", directory=store_dir)
 
     trainer = None
     if config.online != "off":
@@ -921,15 +905,15 @@ def service_for_split(
         )
         trainer.load_latest()
         if event_log is not None and len(event_log) > 0:
-            # Catch-up replay over a throwaway lossless store (capacity
-            # covers every user, no eviction): session-state
-            # trajectories are store-kind invariant, so capture sees
-            # exactly the states the live trainer saw.
+            # Catch-up replay over a throwaway heap arena of the base
+            # histories (never the serving store, whose tails it would
+            # pollute): capture sees exactly the states the live
+            # trainer saw.
             catchup_store = SessionStore(
                 config.window.window_size,
                 config.window.min_gap,
                 capacity=max(split.n_users, 1),
-                history_provider=base_history,
+                history_provider=split.history_store(base="train"),
             )
             trainer.replay(event_log.iter_events(), catchup_store)
 
@@ -937,7 +921,7 @@ def service_for_split(
         config.window.window_size,
         config.window.min_gap,
         capacity=capacity,
-        history_provider=provider,
+        history_provider=history_store,
         event_source=(
             event_log.events_for if event_log is not None else None
         ),

@@ -11,14 +11,15 @@ asserted via the shared :func:`~repro.engine.session.fingerprint_state`
 digest) to a fresh offline session built over the concatenated history.
 
 :class:`SessionStore` keeps many live sessions resident under an LRU
-capacity bound. An evicted user is *transparently rehydrated* on next
-access. With a legacy callable ``history_provider`` that means
-re-fetching the base history and replaying the user's logged live
-events on top; with a :class:`~repro.store.base.HistoryStore` provider
-the history (base *and* live tail) survives eviction inside the store,
-so rehydration is an O(window) re-seed over a zero-copy view — no
-re-fetch, no copy, no replay. Either way eviction is invisible to
-correctness, it only costs (much less, now) latency.
+capacity bound. Its sessions are always
+:class:`~repro.store.session.StoreSession` objects over one
+:class:`~repro.store.base.HistoryStore`: the history (base *and* live
+tail) survives eviction inside the store, so an evicted user is
+rehydrated by an O(window) re-seed over a zero-copy view — no re-fetch,
+no copy, no replay. Eviction is invisible to correctness; it only costs
+latency. No serving path builds a :class:`LiveSession`: it is the
+independent list-carrying oracle the equivalence suites and benchmarks
+compare store sessions against.
 """
 
 from __future__ import annotations
@@ -32,17 +33,14 @@ import numpy as np
 from repro.data.sequence import ConsumptionSequence
 from repro.engine.session import fingerprint_state
 from repro.exceptions import DataError, ServingError
+from repro.store.arena import ArenaHistoryStore
 from repro.store.base import HistoryStore
+from repro.store.dict_store import DictHistoryStore
 from repro.store.session import StoreSession
 
 #: Fetches one user's base (pre-serving) history, or ``None`` for a user
 #: unknown to the dataset (served cold, from live events only).
 HistoryProvider = Callable[[int], Optional[ConsumptionSequence]]
-
-#: What ``SessionStore.get`` hands out: the two session flavours share
-#: one accessor contract (asserted digest-for-digest by the equivalence
-#: suite), so every consumer treats them interchangeably.
-SessionLike = Union["LiveSession", StoreSession]
 
 
 class LiveSession:
@@ -277,7 +275,7 @@ class StoreCounters:
 
 
 class SessionStore:
-    """LRU-bounded cache of :class:`LiveSession` objects.
+    """LRU-bounded cache of :class:`~repro.store.session.StoreSession` objects.
 
     Parameters
     ----------
@@ -287,19 +285,20 @@ class SessionStore:
         Maximum resident sessions; accessing a new user past capacity
         evicts the least-recently-used one.
     history_provider:
-        Either a :class:`~repro.store.base.HistoryStore` (sessions are
-        :class:`~repro.store.session.StoreSession` objects over it —
-        zero-copy rehydration, histories survive eviction in the store)
-        or a legacy callable fetching a user's base history on first
-        access / rehydration.
+        The :class:`~repro.store.base.HistoryStore` holding every
+        user's history (``history_store``). ``None`` means an empty
+        arena: every user is cold and grows a live tail. A per-user
+        fetch callable is also accepted and adapted into a
+        :class:`~repro.store.dict_store.DictHistoryStore` that fetches
+        each user's base on first touch.
     event_source:
         Optional callable ``(user, start) -> iterable of item ids``
         returning the user's *logged live events* in append order, from
         the ``start``-th on (the event log's per-user replay view,
-        :meth:`~repro.serving.events.EventLog.events_for`). Rehydration
-        replays them on top of the base history, so eviction never loses
-        state — provided every live event was logged before it was
-        applied.
+        :meth:`~repro.serving.events.EventLog.events_for`). A build
+        replays the events the store does not hold yet — the gap a
+        crash leaves — so state is never lost, provided every live
+        event was logged before it was applied.
 
     All public methods are thread-safe (one lock; sessions are only
     mutated under it through :meth:`append`).
@@ -311,7 +310,7 @@ class SessionStore:
         min_gap: int,
         capacity: int = 1024,
         history_provider: Optional[
-            Union[HistoryProvider, HistoryStore]
+            Union[HistoryStore, HistoryProvider]
         ] = None,
         event_source: Optional[Callable[[int, int], Iterable[int]]] = None,
     ) -> None:
@@ -320,10 +319,14 @@ class SessionStore:
         self.window_size = window_size
         self.min_gap = min_gap
         self.capacity = capacity
-        self.history_provider = history_provider
+        if history_provider is None:
+            history_provider = ArenaHistoryStore.from_histories([])
+        elif not isinstance(history_provider, HistoryStore):
+            history_provider = DictHistoryStore(fetch=history_provider)
+        self.history_store: HistoryStore = history_provider
         self.event_source = event_source
         self.counters = StoreCounters()
-        self._sessions: "OrderedDict[int, SessionLike]" = OrderedDict()
+        self._sessions: "OrderedDict[int, StoreSession]" = OrderedDict()
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
@@ -339,7 +342,7 @@ class SessionStore:
         with self._lock:
             return list(self._sessions)
 
-    def get(self, user: int) -> SessionLike:
+    def get(self, user: int) -> StoreSession:
         """The user's live session, rehydrating (and evicting) as needed."""
         with self._lock:
             session = self._sessions.get(user)
@@ -379,44 +382,23 @@ class SessionStore:
         with self._lock:
             return self.get(user).state_fingerprint()
 
-    def _build(self, user: int) -> SessionLike:
-        """Rebuild a session: base history + replay of logged events.
+    def _build(self, user: int) -> StoreSession:
+        """Rebuild a session: an O(window) re-seed over the store.
 
-        Over a :class:`HistoryStore` the "rebuild" is an O(window)
-        re-seed — the store retained both base and live tail across
-        eviction — and only WAL events the store has *not* seen yet
-        (from ``live_count`` on, i.e. a crash-restart gap) are read and
-        replayed; a steady-state miss reads none. Over a legacy callable
-        provider, the base history is re-fetched and every logged live
-        event replayed, as before.
+        The store retained both base and live tail across eviction, so
+        only WAL events it has *not* seen yet (from ``live_count`` on,
+        i.e. a crash-restart gap) are read and replayed; a steady-state
+        miss reads none.
         """
-        provider = self.history_provider
-        if isinstance(provider, HistoryStore):
-            session = provider.session(
-                user, self.window_size, self.min_gap
-            )
-            replayed = 0
-            if self.event_source is not None:
-                already_held = provider.live_count(user)
-                for item in self.event_source(user, already_held):
-                    session.append(item)
-                    replayed += 1
-            if replayed or provider.live_count(user):
-                # The user had live state to restore — whether it came
-                # back from the store's tail (free) or the WAL (replay).
-                self.counters.rehydrations += 1
-            return session
-        history = provider(user) if provider is not None else None
-        session = LiveSession(
-            user, self.window_size, self.min_gap, history=history
-        )
+        store = self.history_store
+        session = store.session(user, self.window_size, self.min_gap)
         if self.event_source is not None:
-            replayed = 0
-            for item in self.event_source(user, 0):
+            for item in self.event_source(user, store.live_count(user)):
                 session.append(item)
-                replayed += 1
-            if replayed:
-                self.counters.rehydrations += 1
+        if store.live_count(user):
+            # The user had live state to restore — whether it came back
+            # from the store's tail (free) or the WAL (replay).
+            self.counters.rehydrations += 1
         return session
 
     def __repr__(self) -> str:

@@ -5,7 +5,6 @@ for the columnar arena implementation, and :mod:`repro.store.session`
 for the store-native live session the serving layer runs on.
 """
 
-import tempfile
 from typing import Iterable, Optional, Sequence
 
 from repro.exceptions import StoreError
@@ -13,44 +12,44 @@ from repro.store.arena import (
     ArenaHistoryStore,
     ArenaHistoryView,
     SessionArena,
+    histories_digest,
 )
 from repro.store.base import HistoryStore, HistoryView
 from repro.store.dict_store import DictHistoryStore
 from repro.store.memory import deep_sizeof, store_memory_profile
 from repro.store.session import StoreSession
 
-#: CLI-facing store kinds accepted by ``--store`` and the factories.
-STORE_KINDS = ("dict", "arena", "arena-mmap")
-
 
 def make_history_store(
     histories: Iterable[Sequence[int]],
-    kind: str = "arena",
     directory: Optional[str] = None,
-) -> HistoryStore:
-    """Build a history store of the requested ``kind``.
+) -> ArenaHistoryStore:
+    """Pack dense-user-indexed histories (index = user id) into an arena.
 
-    ``histories`` are dense-user-indexed item sequences (index = user
-    id). ``"arena-mmap"`` persists the packed columns under
-    ``directory`` (a fresh temporary directory when omitted) and reopens
-    them memory-mapped, so base histories cost file pages, not heap. A
-    directory that already holds a saved arena is reused as-is without
-    consuming ``histories`` — which is how N cluster shards on one box
-    map one shared read-only copy of the columns.
+    Without ``directory`` the columns live on the heap. With one, they
+    are saved there and reopened memory-mapped, so base histories cost
+    file pages, not heap. A directory that already holds a saved arena
+    is reused without repacking — which is how N cluster shards on one
+    box map one shared read-only copy — but only if its recorded content
+    digest matches ``histories``; otherwise :class:`StoreError`.
     """
-    if kind == "dict":
-        return DictHistoryStore.from_histories(histories)
-    if kind == "arena":
+    if directory is None:
         return ArenaHistoryStore.from_histories(histories)
-    if kind == "arena-mmap":
-        if directory is None:
-            directory = tempfile.mkdtemp(prefix="repro-arena-")
-        if not SessionArena.exists(directory):
-            SessionArena.from_histories(histories).save(directory)
-        return ArenaHistoryStore(SessionArena.open(directory, mmap=True))
-    raise StoreError(
-        f"unknown store kind {kind!r}; expected one of {STORE_KINDS}"
-    )
+    if SessionArena.exists(directory):
+        saved = SessionArena.saved_digest(directory)
+        if saved is None:
+            raise StoreError(
+                f"the arena saved under {directory!r} records no content "
+                f"digest; remove it so it is repacked"
+            )
+        if saved != histories_digest(histories):
+            raise StoreError(
+                f"the arena saved under {directory!r} was not packed from "
+                f"these histories; remove it or choose another directory"
+            )
+    else:
+        SessionArena.from_histories(histories).save(directory)
+    return ArenaHistoryStore(SessionArena.open(directory, mmap=True))
 
 
 __all__ = [
@@ -61,8 +60,8 @@ __all__ = [
     "HistoryView",
     "SessionArena",
     "StoreSession",
-    "STORE_KINDS",
     "deep_sizeof",
+    "histories_digest",
     "make_history_store",
     "store_memory_profile",
 ]

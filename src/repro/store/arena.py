@@ -1,20 +1,21 @@
 """The columnar session-memory arena.
 
-A :class:`SessionArena` packs every user's base history into two (or
-three) contiguous numpy columns — the cu_seqlens idiom of
-variable-length batch kernels:
+A :class:`SessionArena` packs every user's base history into two
+contiguous numpy columns — the cu_seqlens idiom of variable-length
+batch kernels:
 
 ::
 
     items   : int32[total]          one entry per consumption, all users
     offsets : int64[n_users + 1]    user u's history = items[offsets[u]:offsets[u+1]]
-    stamps  : int64[total]          optional event timestamps, aligned with items
 
 User ``u``'s history is the zero-copy slice
 ``items[offsets[u]:offsets[u+1]]`` — no per-user Python objects, no
 pointer-per-element lists, and the whole arena can live in one
 mmap-backed file (:meth:`SessionArena.save` / :meth:`SessionArena.open`)
-so resident memory is only what the OS pages in.
+so resident memory is only what the OS pages in. A saved arena carries
+a content digest (:func:`histories_digest`), so a directory is reused
+only for the histories it was packed from.
 
 :class:`ArenaHistoryStore` implements the
 :class:`~repro.store.base.HistoryStore` protocol on top: reads are
@@ -28,6 +29,7 @@ not a copy.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
@@ -37,6 +39,7 @@ import numpy as np
 
 from repro.data.sequence import ConsumptionSequence
 from repro.exceptions import StoreError
+from repro.resilience.atomic import atomic_write_json
 from repro.store.base import HistoryStore
 
 #: Items are stored as int32: ids must fit the encoding.
@@ -47,7 +50,6 @@ _TAIL_INITIAL_CAPACITY = 8
 
 _ITEMS_FILE = "items.npy"
 _OFFSETS_FILE = "offsets.npy"
-_STAMPS_FILE = "stamps.npy"
 _META_FILE = "arena.json"
 
 
@@ -67,6 +69,38 @@ def _as_item_column(values: Sequence[int]) -> np.ndarray:
                 f"item {high} does not fit the arena's int32 encoding"
             )
     return array.astype(np.int32)
+
+
+def histories_digest(histories: Iterable[Sequence[int]]) -> str:
+    """The content digest an arena packed from ``histories`` would carry.
+
+    sha256 over the int32 item bytes, user by user, then the int64
+    offsets — :attr:`SessionArena.digest` of the packed columns,
+    computed one history at a time without concatenating them.
+    """
+    hasher = hashlib.sha256()
+    lengths = [0]
+    for history in histories:
+        column = _as_item_column(history)
+        hasher.update(column)
+        lengths.append(column.size)
+    hasher.update(np.cumsum(lengths, dtype=np.int64))
+    return hasher.hexdigest()
+
+
+def _read_meta(directory: str) -> dict:
+    """The saved arena's metadata; any unreadable file is a StoreError."""
+    meta_path = os.path.join(directory, _META_FILE)
+    if not os.path.exists(meta_path):
+        raise StoreError(f"no arena found under {directory!r}")
+    try:
+        with open(meta_path) as handle:
+            meta = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise StoreError(
+            f"unreadable arena metadata under {directory!r}: {exc}"
+        ) from exc
+    return meta
 
 
 class ArenaHistoryView(ConsumptionSequence):
@@ -101,18 +135,11 @@ class SessionArena:
     offsets:
         int64 array of ``n_users + 1`` cumulative lengths; user ``u``
         owns ``items[offsets[u]:offsets[u+1]]``.
-    stamps:
-        Optional int64 timestamps aligned with ``items``.
     """
 
-    __slots__ = ("items", "offsets", "stamps")
+    __slots__ = ("items", "offsets")
 
-    def __init__(
-        self,
-        items: np.ndarray,
-        offsets: np.ndarray,
-        stamps: Optional[np.ndarray] = None,
-    ) -> None:
+    def __init__(self, items: np.ndarray, offsets: np.ndarray) -> None:
         # asanyarray, not asarray: mmap-backed columns must keep their
         # np.memmap identity so accounting can tell pages from heap.
         items = np.asanyarray(items)
@@ -135,32 +162,18 @@ class SessionArena:
             )
         if offsets.size > 1 and np.any(np.diff(offsets) < 0):
             raise StoreError("offsets must be non-decreasing")
-        if stamps is not None:
-            stamps = np.asanyarray(stamps)
-            if stamps.shape != items.shape:
-                raise StoreError(
-                    f"stamps shape {stamps.shape} does not match items "
-                    f"shape {items.shape}"
-                )
-            if stamps.dtype != np.int64:
-                raise StoreError(
-                    f"arena stamps must be int64, got {stamps.dtype}"
-                )
-        for column in (items, offsets, stamps):
-            if column is not None and not isinstance(column, np.memmap):
+        for column in (items, offsets):
+            if not isinstance(column, np.memmap):
                 column.setflags(write=False)
         self.items = items
         self.offsets = offsets
-        self.stamps = stamps
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
     def from_histories(
-        cls,
-        histories: Iterable[Sequence[int]],
-        stamps: Optional[Iterable[Sequence[int]]] = None,
+        cls, histories: Iterable[Sequence[int]]
     ) -> "SessionArena":
         """Pack per-user histories (index = dense user id) into an arena."""
         columns = [_as_item_column(history) for history in histories]
@@ -172,24 +185,7 @@ class SessionArena:
             if columns
             else np.empty(0, dtype=np.int32)
         )
-        stamp_column: Optional[np.ndarray] = None
-        if stamps is not None:
-            stamp_parts = [
-                np.asarray(part, dtype=np.int64) for part in stamps
-            ]
-            if len(stamp_parts) != len(columns) or any(
-                part.size != column.size
-                for part, column in zip(stamp_parts, columns)
-            ):
-                raise StoreError(
-                    "stamps must align with histories user by user"
-                )
-            stamp_column = (
-                np.concatenate(stamp_parts)
-                if stamp_parts
-                else np.empty(0, dtype=np.int64)
-            )
-        return cls(items, offsets, stamps=stamp_column)
+        return cls(items, offsets)
 
     @classmethod
     def from_sequences(
@@ -214,10 +210,16 @@ class SessionArena:
     @property
     def nbytes(self) -> int:
         """Total column bytes (counts mmap-backed columns at full size)."""
-        total = self.items.nbytes + self.offsets.nbytes
-        if self.stamps is not None:
-            total += self.stamps.nbytes
-        return int(total)
+        return int(self.items.nbytes + self.offsets.nbytes)
+
+    @property
+    def digest(self) -> str:
+        """sha256 of the columns; equals :func:`histories_digest` of the
+        histories this arena was packed from."""
+        hasher = hashlib.sha256()
+        hasher.update(np.ascontiguousarray(self.items))
+        hasher.update(np.ascontiguousarray(self.offsets))
+        return hasher.hexdigest()
 
     def length(self, user: int) -> int:
         """History length of ``user`` (0 for users outside the arena)."""
@@ -231,30 +233,27 @@ class SessionArena:
             return np.empty(0, dtype=np.int32)
         return self.items[self.offsets[user] : self.offsets[user + 1]]
 
-    def user_stamps(self, user: int) -> Optional[np.ndarray]:
-        """Zero-copy timestamp slice, or ``None`` without a stamp column."""
-        if self.stamps is None or not 0 <= user < self.n_users:
-            return None
-        return self.stamps[self.offsets[user] : self.offsets[user + 1]]
-
     # ------------------------------------------------------------------
     # Persistence (mmap backing)
     # ------------------------------------------------------------------
     def save(self, directory: str) -> None:
-        """Write the columns under ``directory`` (one ``.npy`` per column)."""
+        """Write the columns under ``directory`` (one ``.npy`` per column).
+
+        The metadata, with the content digest, is written last and
+        atomically: a directory holding ``arena.json`` holds every column.
+        """
         os.makedirs(directory, exist_ok=True)
         np.save(os.path.join(directory, _ITEMS_FILE), self.items)
         np.save(os.path.join(directory, _OFFSETS_FILE), self.offsets)
-        if self.stamps is not None:
-            np.save(os.path.join(directory, _STAMPS_FILE), self.stamps)
-        meta = {
-            "version": 1,
-            "n_users": self.n_users,
-            "n_events": self.n_events,
-            "has_stamps": self.stamps is not None,
-        }
-        with open(os.path.join(directory, _META_FILE), "w") as handle:
-            json.dump(meta, handle)
+        atomic_write_json(
+            os.path.join(directory, _META_FILE),
+            {
+                "version": 2,
+                "n_users": self.n_users,
+                "n_events": self.n_events,
+                "digest": self.digest,
+            },
+        )
 
     @classmethod
     def exists(cls, directory: str) -> bool:
@@ -262,29 +261,33 @@ class SessionArena:
         return os.path.exists(os.path.join(directory, _META_FILE))
 
     @classmethod
+    def saved_digest(cls, directory: str) -> Optional[str]:
+        """The content digest a saved arena recorded (``None`` if none)."""
+        return _read_meta(directory).get("digest")
+
+    @classmethod
     def open(cls, directory: str, mmap: bool = True) -> "SessionArena":
         """Load a saved arena, mmap-backed by default.
 
         With ``mmap=True`` the columns are ``np.memmap`` views: resident
         memory is only the pages actually touched, so a million-user
-        arena costs near-zero RAM until sliced.
+        arena costs near-zero RAM until sliced. Missing, torn or
+        truncated files raise :class:`~repro.exceptions.StoreError`.
         """
-        meta_path = os.path.join(directory, _META_FILE)
-        if not os.path.exists(meta_path):
-            raise StoreError(f"no arena found under {directory!r}")
-        with open(meta_path) as handle:
-            meta = json.load(handle)
+        _read_meta(directory)
         mode = "r" if mmap else None
-        items = np.load(os.path.join(directory, _ITEMS_FILE), mmap_mode=mode)
-        offsets = np.load(
-            os.path.join(directory, _OFFSETS_FILE), mmap_mode=mode
-        )
-        stamps = None
-        if meta.get("has_stamps"):
-            stamps = np.load(
-                os.path.join(directory, _STAMPS_FILE), mmap_mode=mode
+        try:
+            items = np.load(
+                os.path.join(directory, _ITEMS_FILE), mmap_mode=mode
             )
-        return cls(items, offsets, stamps=stamps)
+            offsets = np.load(
+                os.path.join(directory, _OFFSETS_FILE), mmap_mode=mode
+            )
+        except (OSError, ValueError) as exc:
+            raise StoreError(
+                f"unreadable arena columns under {directory!r}: {exc}"
+            ) from exc
+        return cls(items, offsets)
 
     def __repr__(self) -> str:
         backing = "mmap" if isinstance(self.items, np.memmap) else "ram"
@@ -302,29 +305,18 @@ class _TailSegment:
     against ~28 bytes *per event* for a list of boxed ints.
     """
 
-    __slots__ = ("items", "stamps", "length")
+    __slots__ = ("items", "length")
 
-    def __init__(self, record_stamps: bool) -> None:
+    def __init__(self) -> None:
         self.items = np.empty(_TAIL_INITIAL_CAPACITY, dtype=np.int32)
-        self.stamps = (
-            np.empty(_TAIL_INITIAL_CAPACITY, dtype=np.int64)
-            if record_stamps
-            else None
-        )
         self.length = 0
 
-    def push(self, item: int, stamp: Optional[int]) -> None:
+    def push(self, item: int) -> None:
         if self.length == self.items.size:
             self.items = np.concatenate(
                 [self.items, np.empty(self.items.size, dtype=np.int32)]
             )
-            if self.stamps is not None:
-                self.stamps = np.concatenate(
-                    [self.stamps, np.empty(self.stamps.size, dtype=np.int64)]
-                )
         self.items[self.length] = item
-        if self.stamps is not None:
-            self.stamps[self.length] = -1 if stamp is None else stamp
         self.length += 1
 
     def view(self) -> np.ndarray:
@@ -347,11 +339,8 @@ class ArenaHistoryStore(HistoryStore):
     as it does for the WAL.
     """
 
-    def __init__(
-        self, arena: SessionArena, record_stamps: bool = False
-    ) -> None:
+    def __init__(self, arena: SessionArena) -> None:
         self.arena = arena
-        self.record_stamps = record_stamps or arena.stamps is not None
         self._tails: Dict[int, _TailSegment] = {}
         self._fused: Dict[int, ArenaHistoryView] = {}
         self._lock = threading.RLock()
@@ -361,22 +350,9 @@ class ArenaHistoryStore(HistoryStore):
     # ------------------------------------------------------------------
     @classmethod
     def from_histories(
-        cls, histories: Iterable[Sequence[int]], record_stamps: bool = False
+        cls, histories: Iterable[Sequence[int]]
     ) -> "ArenaHistoryStore":
-        return cls(
-            SessionArena.from_histories(histories),
-            record_stamps=record_stamps,
-        )
-
-    @classmethod
-    def open(
-        cls, directory: str, mmap: bool = True, record_stamps: bool = False
-    ) -> "ArenaHistoryStore":
-        """A store over a saved (optionally mmap-backed) arena."""
-        return cls(
-            SessionArena.open(directory, mmap=mmap),
-            record_stamps=record_stamps,
-        )
+        return cls(SessionArena.from_histories(histories))
 
     # ------------------------------------------------------------------
     # HistoryStore protocol
@@ -403,7 +379,7 @@ class ArenaHistoryStore(HistoryStore):
                 self._fused[user] = fused
             return fused
 
-    def append(self, user: int, item: int, t: Optional[int] = None) -> int:
+    def append(self, user: int, item: int) -> int:
         user, item = int(user), int(item)
         if user < 0:
             raise StoreError(f"user must be non-negative, got {user}")
@@ -414,9 +390,9 @@ class ArenaHistoryStore(HistoryStore):
         with self._lock:
             tail = self._tails.get(user)
             if tail is None:
-                tail = self._tails[user] = _TailSegment(self.record_stamps)
+                tail = self._tails[user] = _TailSegment()
             position = self.arena.length(user) + tail.length
-            tail.push(item, t)
+            tail.push(item)
             self._fused.pop(user, None)
             return position
 
@@ -510,7 +486,6 @@ class ArenaHistoryStore(HistoryStore):
                 max(self._tails) + 1 if self._tails else 0,
             )
             histories = []
-            stamp_histories = [] if self.record_stamps else None
             for user in range(n_users):
                 base = self.arena.user_items(user)
                 tail = self._tails.get(user)
@@ -520,26 +495,7 @@ class ArenaHistoryStore(HistoryStore):
                     histories.append(
                         np.concatenate([base, tail.view()])
                     )
-                if stamp_histories is not None:
-                    base_stamps = self.arena.user_stamps(user)
-                    if base_stamps is None:
-                        base_stamps = np.full(
-                            base.size, -1, dtype=np.int64
-                        )
-                    if tail is None or tail.length == 0 or tail.stamps is None:
-                        tail_stamps = np.full(
-                            tail.length if tail is not None else 0,
-                            -1,
-                            dtype=np.int64,
-                        )
-                    else:
-                        tail_stamps = tail.stamps[: tail.length]
-                    stamp_histories.append(
-                        np.concatenate([base_stamps, tail_stamps])
-                    )
-            self.arena = SessionArena.from_histories(
-                histories, stamps=stamp_histories
-            )
+            self.arena = SessionArena.from_histories(histories)
             self._tails.clear()
             self._fused.clear()
             return self.arena

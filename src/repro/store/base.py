@@ -19,12 +19,14 @@ replaces all three behind one protocol:
   end-of-history window/Ω/recency state, bit-comparable across every
   store implementation and with live/offline sessions.
 
-Two implementations ship: :class:`~repro.store.dict_store.DictHistoryStore`
-(the reference, today's dict/list representation) and
-:class:`~repro.store.arena.ArenaHistoryStore` (the columnar
-session-memory arena). The equivalence suite drives both through random
-interleaved append/evict/rehydrate schedules and asserts element- and
-fingerprint-identity.
+Serving, evaluation and online replay run on
+:class:`~repro.store.arena.ArenaHistoryStore`, the columnar
+session-memory arena (heap or memory-mapped).
+:class:`~repro.store.dict_store.DictHistoryStore` is the list-backed
+reference: the equivalence suite drives both through random interleaved
+append/evict/rehydrate schedules and asserts element- and
+fingerprint-identity, and it adapts a per-user fetch callable to this
+protocol.
 """
 
 from __future__ import annotations
@@ -67,20 +69,17 @@ class HistoryStore(ABC):
     def slice(self, user: int) -> Optional[HistoryView]:
         """The user's full history (base + tail), or ``None`` if empty.
 
-        ``None`` mirrors the legacy ``HistoryProvider`` contract for
-        users the store knows nothing about; a user with any base or
-        live events always gets a view. Views are snapshots: a later
-        :meth:`append` is not visible through a previously returned
-        view.
+        ``None`` is the answer for users the store knows nothing about;
+        a user with any base or live events always gets a view. Views
+        are snapshots: a later :meth:`append` is not visible through a
+        previously returned view.
         """
 
     @abstractmethod
-    def append(self, user: int, item: int, t: Optional[int] = None) -> int:
+    def append(self, user: int, item: int) -> int:
         """Append one live event to the user's tail; returns its position.
 
-        ``t`` is an optional event timestamp recorded in the store's
-        timestamp column when one is configured; it never affects
-        ordering (histories are append-ordered, exactly like the WAL).
+        Histories are append-ordered, exactly like the WAL.
         """
 
     @abstractmethod

@@ -1,18 +1,19 @@
 """The dict/list reference implementation of :class:`HistoryStore`.
 
-This is today's representation — one Python list of boxed ints per user
-— wrapped in the store protocol. It exists for two reasons: as the
-semantic reference the arena store is proven element- and
-fingerprint-identical against (the hypothesis equivalence suite drives
-both through the same schedules), and as the ``--store dict`` escape
-hatch while the arena is new. It is deliberately simple and deliberately
-memory-hungry; ``BENCH_memory.json`` quantifies the gap.
+One Python list of boxed ints per user, wrapped in the store protocol.
+It has three jobs: the semantic reference the arena store is proven
+element- and fingerprint-identical against (the hypothesis equivalence
+suite drives both through the same schedules), the baseline
+``BENCH_memory.json`` measures the arena against, and the adapter that
+lets a :class:`~repro.serving.state.SessionStore` accept a per-user
+fetch callable (``fetch``: base histories are fetched on first touch).
+It is deliberately simple and deliberately memory-hungry.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -22,10 +23,19 @@ from repro.store.base import HistoryStore
 
 
 class DictHistoryStore(HistoryStore):
-    """Per-user Python lists behind the :class:`HistoryStore` protocol."""
+    """Per-user Python lists behind the :class:`HistoryStore` protocol.
+
+    ``fetch`` maps a user to its base history (``None`` = cold user); it
+    is called once per user, on first touch, for users ``histories``
+    does not cover.
+    """
 
     def __init__(
-        self, histories: Optional[Dict[int, Sequence[int]]] = None
+        self,
+        histories: Optional[Dict[int, Sequence[int]]] = None,
+        fetch: Optional[
+            Callable[[int], Optional[ConsumptionSequence]]
+        ] = None,
     ) -> None:
         self._base: Dict[int, List[int]] = {}
         if histories:
@@ -39,6 +49,7 @@ class DictHistoryStore(HistoryStore):
                 if any(item < 0 for item in as_list):
                     raise StoreError("item indices must be non-negative")
                 self._base[user] = as_list
+        self._fetch = fetch
         self._tails: Dict[int, List[int]] = {}
         self._lock = threading.RLock()
 
@@ -51,20 +62,29 @@ class DictHistoryStore(HistoryStore):
             {user: items for user, items in enumerate(histories)}
         )
 
+    def _base_of(self, user: int) -> List[int]:
+        """The user's base list, fetched on first touch when lazy."""
+        base = self._base.get(user)
+        if base is None and self._fetch is not None:
+            history = self._fetch(user)
+            base = [] if history is None else history.items.tolist()
+            self._base[user] = base
+        return base if base is not None else []
+
     # ------------------------------------------------------------------
     # HistoryStore protocol
     # ------------------------------------------------------------------
     def slice(self, user: int) -> Optional[ConsumptionSequence]:
         user = int(user)
         with self._lock:
-            base = self._base.get(user)
+            base = self._base_of(user)
             tail = self._tails.get(user)
             if not base and not tail:
                 return None
-            items = (base or []) + (tail or [])
+            items = base + (tail or [])
             return ConsumptionSequence(user, items)
 
-    def append(self, user: int, item: int, t: Optional[int] = None) -> int:
+    def append(self, user: int, item: int) -> int:
         user, item = int(user), int(item)
         if user < 0:
             raise StoreError(f"user must be non-negative, got {user}")
@@ -74,12 +94,13 @@ class DictHistoryStore(HistoryStore):
             )
         with self._lock:
             tail = self._tails.setdefault(user, [])
-            position = len(self._base.get(user, ())) + len(tail)
+            position = len(self._base_of(user)) + len(tail)
             tail.append(item)
             return position
 
     def base_length(self, user: int) -> int:
-        return len(self._base.get(int(user), ()))
+        with self._lock:
+            return len(self._base_of(int(user)))
 
     def live_count(self, user: int) -> int:
         return len(self._tails.get(int(user), ()))
@@ -91,7 +112,7 @@ class DictHistoryStore(HistoryStore):
                 f"position must be non-negative, got {position}"
             )
         with self._lock:
-            base = self._base.get(user, [])
+            base = self._base_of(user)
             tail = self._tails.get(user, [])
             if position < len(base):
                 return base[position]
@@ -107,7 +128,7 @@ class DictHistoryStore(HistoryStore):
         if n <= 0:
             return np.empty(0, dtype=np.int64)
         with self._lock:
-            base = self._base.get(user, [])
+            base = self._base_of(user)
             tail = self._tails.get(user, [])
             combined = (
                 tail[-n:]

@@ -1,9 +1,9 @@
 """The knob registry: every serving/cluster/training system knob.
 
 Every hot-path knob — ``check_interval``, ``max_inflight_rows``, LRU
-``capacity``, the session ``store`` kind, the online-learning settings
-and ``fit_workers`` — is declared **once** here: its type, valid range
-(or choice set), built-in default, and which subsystem consumes it.
+``capacity``, the online-learning settings and ``fit_workers`` — is
+declared **once** here: its type, valid range (or choice set), built-in
+default, and which subsystem consumes it.
 Everything else derives from the registry:
 
 * :class:`~repro.serving.service.ServiceConfig` field defaults,
@@ -28,11 +28,6 @@ SUBSYSTEMS = ("serving", "cluster", "training")
 
 #: Where a resolved knob value came from, in precedence order.
 SOURCES = ("cli", "default")
-
-#: CLI-facing store kinds (mirrors ``repro.store.STORE_KINDS`` without
-#: importing the store package — the registry must stay import-light so
-#: ``ServiceConfig`` can pull defaults from it at class-definition time).
-STORE_CHOICES = ("dict", "arena", "arena-mmap")
 
 
 @dataclass(frozen=True)
@@ -131,13 +126,6 @@ def _build_registry() -> Dict[str, Dict[str, Knob]]:
             help="max resident live sessions before LRU eviction",
         ),
         Knob(
-            "store", "serving", "arena", str, choices=STORE_CHOICES,
-            consumer="repro.store.make_history_store",
-            help="session history backing: columnar arena (default), "
-            "memory-mapped arena, or per-user Python lists; answers are "
-            "bit-identical either way",
-        ),
-        Knob(
             "online", "serving", "off", str, choices=("off", "isgd"),
             consumer="repro.online.trainer.OnlineTrainer",
             help="incremental model updates per ingested event: off "
@@ -162,8 +150,8 @@ def _build_registry() -> Dict[str, Dict[str, Knob]]:
         ),
     ]
     # The cluster shards run the same scoring loop per worker, so the
-    # cluster subsystem registers the same knobs (capacity and store
-    # apply per shard).
+    # cluster subsystem registers the same knobs (capacity applies per
+    # shard).
     cluster = [replace(knob, subsystem="cluster") for knob in scoring]
     training = [
         Knob(
@@ -267,7 +255,6 @@ __all__ = [
     "Knob",
     "ResolvedKnob",
     "SOURCES",
-    "STORE_CHOICES",
     "SUBSYSTEMS",
     "default_of",
     "defaults_for",

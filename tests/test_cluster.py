@@ -406,23 +406,22 @@ class TestSharedArena:
     def test_shards_share_one_mmap_arena(
         self, gowalla_split: SplitDataset, tmp_path
     ) -> None:
-        """``store="arena-mmap"`` packs the columns once for all shards.
+        """``store_dir`` packs the columns once for all shards.
 
-        The supervisor saves the arena under the run dir before any
-        worker forks; every shard opens the same files read-only. The
-        served fingerprints must still match
-        ``expected_fingerprints`` — which deliberately replays over the
-        legacy callable provider — so agreement here is a live
-        cross-representation identity proof through real processes.
+        The supervisor saves the arena there before any worker forks;
+        every shard maps the same files read-only. The served
+        fingerprints must still match ``expected_fingerprints`` — which
+        replays over a freshly packed heap arena, never the shared
+        files — so agreement here is a live identity proof through real
+        processes.
         """
+        shared = tmp_path / "arena"
         supervisor = make_supervisor(
-            gowalla_split, tmp_path, n_shards=2, store="arena-mmap"
+            gowalla_split, tmp_path, n_shards=2, store_dir=shared
         )
-        shared = tmp_path / "cluster" / "arena"
         assert SessionArena.exists(str(shared))
         specs = [supervisor._handle(n).spec for n in supervisor.shard_names()]
-        assert all(spec.store == "arena-mmap" for spec in specs)
-        assert len({spec.store_dir for spec in specs}) == 1
+        assert {spec.store_dir for spec in specs} == {shared}
         supervisor.start()
         router = ClusterRouter(supervisor, port=0).start()
         try:

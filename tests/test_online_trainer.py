@@ -66,17 +66,11 @@ def held_out_stream(split: SplitDataset, n_users: int = 6) -> List[Tuple[int, in
 
 def fresh_store(split: SplitDataset) -> SessionStore:
     """A lossless replay store over the split's training prefixes."""
-
-    def base_history(user: int):
-        if 0 <= user < split.n_users:
-            return split.train_sequence(user)
-        return None
-
     return SessionStore(
         SMALL_WINDOW.window_size,
         SMALL_WINDOW.min_gap,
         capacity=max(split.n_users, 1),
-        history_provider=base_history,
+        history_provider=split.history_store(base="train"),
     )
 
 
@@ -121,6 +115,34 @@ class TestReplayBitIdentity:
         live = drive_live(gowalla_split, kind, log_path)
         rebuilt = rebuild_by_replay(gowalla_split, kind, log_path)
         assert rebuilt == live
+
+    def test_callable_provider_replay_matches_arena(
+        self, gowalla_split: SplitDataset, tmp_path
+    ) -> None:
+        """A per-user fetch callable replays to the arena's digest.
+
+        The store is built the way the benchmark host rebuilds a shard's
+        online model after a run: a lambda over ``train_sequence`` that
+        answers ``None`` outside the split.
+        """
+        split = gowalla_split
+        log_path = tmp_path / "wal.log"
+        live = drive_live(split, "tsppr", log_path)
+        trainer = OnlineTrainer(MODEL_BUILDERS["tsppr"](split), batch_window=7)
+        store = SessionStore(
+            SMALL_WINDOW.window_size,
+            SMALL_WINDOW.min_gap,
+            capacity=max(split.n_users, 1),
+            history_provider=lambda user: (
+                split.train_sequence(user)
+                if 0 <= user < split.n_users
+                else None
+            ),
+        )
+        log = EventLog.open(log_path, readonly=True)
+        trainer.replay(log.iter_events(), store)
+        arena = rebuild_by_replay(split, "tsppr", log_path)
+        assert trainer.model_fingerprint() == arena == live
 
     def test_batch_window_never_changes_parameters(
         self, gowalla_split: SplitDataset, tmp_path

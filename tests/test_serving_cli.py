@@ -49,7 +49,7 @@ class TestParser:
         assert values["capacity"] == 1024
         assert values["check_interval"] == 16
         assert values["max_inflight_rows"] == 32768
-        assert values["store"] == "arena"
+        assert args.store_dir is None
         assert all(entry.source == "default" for entry in resolved.values())
 
     def test_serve_overrides(self, tmp_path) -> None:

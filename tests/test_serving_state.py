@@ -23,6 +23,7 @@ from repro.engine.session import ScoringSession
 from repro.exceptions import DataError, ServingError
 from repro.serving.events import EventLog
 from repro.serving.state import LiveSession, SessionStore
+from repro.store import StoreSession
 
 
 def offline_session(items, window_size, min_gap, user=0):
@@ -228,6 +229,29 @@ class TestSessionStore:
         assert store.state_fingerprint(0) == fingerprint
         assert store.counters.rehydrations == 0
 
+    def test_get_returns_store_session_for_every_provider(
+        self, gowalla_split: SplitDataset, tmp_path
+    ) -> None:
+        """One session type, whatever backs the histories."""
+        providers = {
+            "heap arena": gowalla_split.history_store(base="train"),
+            "mmap arena": gowalla_split.history_store(
+                base="train", directory=str(tmp_path / "arena")
+            ),
+            "none": None,
+            "callable": gowalla_split.train_sequence,
+        }
+        base = len(gowalla_split.train_sequence(0))
+        for name, provider in providers.items():
+            store = SessionStore(
+                SMALL_WINDOW.window_size,
+                SMALL_WINDOW.min_gap,
+                history_provider=provider,
+            )
+            session = store.get(0)
+            assert isinstance(session, StoreSession), name
+            assert session.t == (0 if provider is None else base), name
+
     def test_capacity_validation(self) -> None:
         with pytest.raises(ServingError, match="capacity"):
             SessionStore(10, 2, capacity=0)
@@ -260,7 +284,7 @@ class TestWALRehydration:
             SMALL_WINDOW.window_size,
             SMALL_WINDOW.min_gap,
             capacity=1,
-            history_provider=split.history_store(kind="arena", base="train"),
+            history_provider=split.history_store(base="train"),
             event_source=log.events_for,
         )
 

@@ -1,13 +1,17 @@
 """Units for the columnar session-memory arena and the HistoryStore API.
 
 Covers the arena columns themselves (validation, zero-copy slicing,
-save/open round-trips), both store implementations, the fixed-size
-:class:`~repro.store.session.StoreSession`, and the deterministic memory
-accounting. Cross-representation equivalence under random schedules
+save/open round-trips and their integrity checks), both store
+implementations (including the dict store's lazy fetch adapter), the
+fixed-size :class:`~repro.store.session.StoreSession`, and the
+deterministic memory accounting. Cross-representation equivalence under random schedules
 lives in ``test_store_equivalence.py``.
 """
 
 from __future__ import annotations
+
+import json
+import os
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from repro.store import (
     SessionArena,
     StoreSession,
     deep_sizeof,
+    histories_digest,
     make_history_store,
     store_memory_profile,
 )
@@ -88,12 +93,13 @@ class TestSessionArena:
                 np.array([0, 1], dtype=np.int32),
             )
 
-    def test_stamps_align_with_items(self):
-        stamps = [[10, 11, 12, 13, 14, 15], [20, 21, 22, 23], [], [30] * 7]
-        arena = SessionArena.from_histories(HISTORIES, stamps=stamps)
-        assert arena.user_stamps(1).tolist() == [20, 21, 22, 23]
-        with pytest.raises(StoreError):
-            SessionArena.from_histories(HISTORIES, stamps=[[1]])
+    def test_digest_is_computable_from_histories(self):
+        arena = SessionArena.from_histories(HISTORIES)
+        assert arena.digest == histories_digest(iter(HISTORIES))
+        # Same items, different user boundaries: a different arena.
+        assert arena.digest != histories_digest(
+            [HISTORIES[0] + HISTORIES[1], [], [], HISTORIES[3]]
+        )
 
     def test_save_open_roundtrip(self, tmp_path):
         directory = str(tmp_path / "arena")
@@ -137,7 +143,9 @@ class TestHistoryStoreProtocol:
     """Contracts both implementations must satisfy identically."""
 
     def build(self, kind):
-        return make_history_store(HISTORIES, kind=kind)
+        if kind == "dict":
+            return DictHistoryStore.from_histories(HISTORIES)
+        return make_history_store(HISTORIES)
 
     def test_slice_contents(self, kind):
         store = self.build(kind)
@@ -266,45 +274,108 @@ class TestArenaHistoryStore:
         arena = store.arena
         assert store.compact() is arena
 
-    def test_stamps_recorded_through_compaction(self):
-        store = ArenaHistoryStore.from_histories(
-            HISTORIES, record_stamps=True
-        )
-        store.append(0, 9, t=1234)
-        store.append(0, 8)
-        arena = store.compact()
-        stamps = arena.user_stamps(0).tolist()
-        assert stamps[-2:] == [1234, -1]
-        assert stamps[: len(HISTORIES[0])] == [-1] * len(HISTORIES[0])
-
     def test_open_reuses_saved_columns(self, tmp_path):
         directory = str(tmp_path / "arena")
         SessionArena.from_histories(HISTORIES).save(directory)
-        store = ArenaHistoryStore.open(directory)
+        store = ArenaHistoryStore(SessionArena.open(directory))
         assert isinstance(store.arena.items, np.memmap)
         assert store.slice(0).items.tolist() == HISTORIES[0]
 
 
+def _corrupt(directory: str, damage: str) -> None:
+    """Damage a saved arena the way a reused or crashed run dir can."""
+    meta_path = os.path.join(directory, "arena.json")
+    if damage == "torn-meta":
+        with open(meta_path, "r+") as handle:
+            handle.truncate(7)
+    elif damage == "truncated-items":
+        items_path = os.path.join(directory, "items.npy")
+        os.truncate(items_path, os.path.getsize(items_path) - 8)
+    elif damage == "no-digest":
+        with open(meta_path) as handle:
+            meta = json.load(handle)
+        del meta["digest"]
+        with open(meta_path, "w") as handle:
+            json.dump(meta, handle)
+
+
 class TestMakeHistoryStore:
     def test_kinds(self, tmp_path):
-        assert isinstance(make_history_store(HISTORIES, "dict"), DictHistoryStore)
-        assert isinstance(make_history_store(HISTORIES, "arena"), ArenaHistoryStore)
+        heap = make_history_store(HISTORIES)
+        assert isinstance(heap, ArenaHistoryStore)
+        assert not isinstance(heap.arena.items, np.memmap)
         mmap_store = make_history_store(
-            HISTORIES, "arena-mmap", directory=str(tmp_path / "a")
+            HISTORIES, directory=str(tmp_path / "a")
         )
         assert isinstance(mmap_store.arena.items, np.memmap)
 
-    def test_unknown_kind_raises(self):
-        with pytest.raises(StoreError):
-            make_history_store(HISTORIES, "redis")
-
     def test_arena_mmap_reuses_existing_directory(self, tmp_path):
-        directory = str(tmp_path / "shared")
-        make_history_store(HISTORIES, "arena-mmap", directory=directory)
-        # A second open with *different* histories must not repack: the
-        # saved columns win, which is how cluster shards share one copy.
-        again = make_history_store([[9, 9]], "arena-mmap", directory=directory)
+        directory = tmp_path / "shared"
+        make_history_store(HISTORIES, directory=str(directory))
+        packed = (directory / "items.npy").stat().st_mtime_ns
+        # A second open with the same histories maps the saved columns
+        # without repacking, which is how cluster shards share one copy.
+        again = make_history_store(iter(HISTORIES), directory=str(directory))
+        assert (directory / "items.npy").stat().st_mtime_ns == packed
+        for user, history in enumerate(HISTORIES):
+            assert again.base_length(user) == len(history)
         assert again.slice(0).items.tolist() == HISTORIES[0]
+
+    @pytest.mark.parametrize(
+        "damage", ["mismatch", "torn-meta", "truncated-items", "no-digest"]
+    )
+    def test_reuse_rejects_a_saved_arena_that_does_not_match(
+        self, tmp_path, damage
+    ):
+        directory = str(tmp_path / "shared")
+        make_history_store(HISTORIES, directory=directory)
+        _corrupt(directory, damage)
+        histories = HISTORIES
+        if damage == "mismatch":
+            histories = [[9, 9], [8], [7, 7, 7]]
+        with pytest.raises(StoreError, match="shared"):
+            make_history_store(histories, directory=directory)
+
+
+class TestDictHistoryStoreFetch:
+    """The lazy adapter behind ``SessionStore(history_provider=callable)``."""
+
+    def build(self):
+        calls = []
+
+        def fetch(user):
+            calls.append(user)
+            if 0 <= user < len(HISTORIES):
+                return ConsumptionSequence(user, HISTORIES[user])
+            return None
+
+        return DictHistoryStore(fetch=fetch), calls
+
+    def test_fetches_each_user_once_on_first_touch(self):
+        store, calls = self.build()
+        assert calls == []
+        assert store.slice(0).items.tolist() == HISTORIES[0]
+        assert store.base_length(0) == len(HISTORIES[0])
+        assert store.append(0, 9) == len(HISTORIES[0])
+        assert store.slice(0).items.tolist() == HISTORIES[0] + [9]
+        assert calls == [0]
+
+    def test_cold_user_grows_from_empty(self):
+        store, calls = self.build()
+        assert store.slice(777) is None
+        assert store.append(777, 3) == 0
+        assert store.recent_items(777, 5).tolist() == [3]
+        assert calls == [777]
+
+    def test_fingerprints_match_the_arena(self):
+        store, _ = self.build()
+        arena = ArenaHistoryStore.from_histories(HISTORIES)
+        for target in (store, arena):
+            target.append(1, 3)
+            target.append(9, 4)
+        for user in (0, 1, 2, 3, 9):
+            digest = arena.fingerprint(user, 4, 2)
+            assert store.fingerprint(user, 4, 2) == digest
 
 
 class TestStoreSession:

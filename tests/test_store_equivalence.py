@@ -7,10 +7,13 @@ representations it replaces. This suite proves it three ways:
   :class:`~repro.store.session.StoreSession` (plus a ``LiveSession``
   oracle) through random interleaved append/evict/rehydrate schedules
   and asserts element- and fingerprint-identity after every step;
-* the serving path answers identically under every ``--store`` kind,
-  for TS-PPR, PPR, FPMC, and Recency;
+* the serving path answers identically over a heap arena, an mmap
+  arena, the dict-store oracle and a per-user fetch callable (the
+  adapter ``SessionStore`` keeps for it), for TS-PPR, PPR, FPMC, and
+  Recency;
 * the offline evaluation protocol produces the same MaAP/MiAP whether
-  it walks split sequences or arena views, sequentially or forked.
+  it walks split sequences, dict-store or arena views, sequentially or
+  forked.
 
 Plus the satellite regression: LRU eviction + rehydration over a store
 is a zero-copy re-seed — no history re-fetch, no WAL re-replay, no
@@ -42,9 +45,13 @@ from repro.models.fpmc import FPMCRecommender
 from repro.models.ppr import PPRRecommender
 from repro.models.recency import RecencyRecommender
 from repro.models.tsppr import TSPPRRecommender
-from repro.serving.service import ServiceConfig, service_for_split
+from repro.serving.service import (
+    RecommendService,
+    ServiceConfig,
+    service_for_split,
+)
 from repro.serving.state import LiveSession, SessionStore
-from repro.store import deep_sizeof, make_history_store
+from repro.store import DictHistoryStore, deep_sizeof, make_history_store
 
 QUICK = TSPPRConfig(max_epochs=3000, seed=3)
 K = 10
@@ -72,8 +79,8 @@ class TestStoreSessionProperty:
         self, history, schedule, window_size, min_gap
     ):
         stores = {
-            kind: make_history_store([history], kind)
-            for kind in ("dict", "arena")
+            "dict": DictHistoryStore.from_histories([history]),
+            "arena": make_history_store([history]),
         }
         sessions = {
             kind: store.session(0, window_size, min_gap)
@@ -123,8 +130,8 @@ class TestStoreSessionProperty:
     @given(history=histories_strategy, extra=schedule_strategy)
     def test_store_fingerprints_agree_across_kinds(self, history, extra):
         stores = {
-            kind: make_history_store([history], kind)
-            for kind in ("dict", "arena")
+            "dict": DictHistoryStore.from_histories([history]),
+            "arena": make_history_store([history]),
         }
         for step in extra:
             if step is None:
@@ -138,16 +145,30 @@ class TestStoreSessionProperty:
         assert len(set(digests.values())) == 1
 
 
-def served_answers(model, split, users, store, store_dir=None):
-    """Step each user's test suffix through a service; collect answers."""
+def served_answers(model, split, users, provider=None, store_dir=None):
+    """Step each user's test suffix through a service; collect answers.
+
+    Without ``provider`` the service is ``service_for_split``'s (a heap
+    arena, or an mmap arena under ``store_dir``); with one, a
+    ``SessionStore`` over that provider.
+    """
     config = ServiceConfig(
         window=SMALL_WINDOW, default_k=K, n_items=split.n_items
     )
+    if provider is None:
+        service = service_for_split(
+            model, split, config=config, store_dir=store_dir
+        )
+    else:
+        store = SessionStore(
+            SMALL_WINDOW.window_size,
+            SMALL_WINDOW.min_gap,
+            history_provider=provider,
+        )
+        service = RecommendService(model, store, config=config)
     answers = {user: [] for user in users}
     fingerprints = {}
-    with service_for_split(
-        model, split, config=config, store=store, store_dir=store_dir
-    ) as service:
+    with service:
         for user in users:
             suffix = split.full_sequence(user).items[
                 split.train_boundary(user):
@@ -164,22 +185,32 @@ class TestServingStoreEquivalence:
     USERS = (0, 1, 2, 3)
 
     def assert_all_stores_agree(self, model, split, tmp_path):
+        backings = {
+            "heap arena": {},
+            "mmap arena": {"store_dir": str(tmp_path / "arena")},
+            "dict oracle": {
+                "provider": DictHistoryStore.from_histories(
+                    split.train_sequence(user).items
+                    for user in range(split.n_users)
+                )
+            },
+            # Shaped like the benchmark host's post-run WAL rebuild.
+            "callable": {
+                "provider": lambda user: (
+                    split.train_sequence(user)
+                    if 0 <= user < split.n_users
+                    else None
+                )
+            },
+        }
         reference = None
-        for store in ("callable", "dict", "arena", "arena-mmap"):
-            got = served_answers(
-                model,
-                split,
-                self.USERS,
-                store,
-                store_dir=(
-                    str(tmp_path / "arena") if store == "arena-mmap" else None
-                ),
-            )
+        for name, backing in backings.items():
+            got = served_answers(model, split, self.USERS, **backing)
             if reference is None:
                 reference = got
                 assert any(got[0].values()), "no queries were answered"
             else:
-                assert got == reference, f"store {store!r} diverges"
+                assert got == reference, f"{name} diverges"
 
     def test_recency(self, gowalla_split: SplitDataset, tmp_path) -> None:
         model = RecencyRecommender().fit(gowalla_split, SMALL_WINDOW)
@@ -204,8 +235,14 @@ class TestEvaluationStoreEquivalence:
     ) -> None:
         config = EvaluationConfig()
         reference = evaluate_recommender(fitted_tsppr, gowalla_split, config)
-        for kind in ("dict", "arena"):
-            store = gowalla_split.history_store(kind=kind, base="full")
+        stores = (
+            DictHistoryStore.from_histories(
+                gowalla_split.full_sequence(user).items
+                for user in range(gowalla_split.n_users)
+            ),
+            gowalla_split.history_store(base="full"),
+        )
+        for store in stores:
             result = evaluate_recommender(
                 fitted_tsppr, gowalla_split, config, history_store=store
             )
@@ -215,7 +252,7 @@ class TestEvaluationStoreEquivalence:
         self, fitted_tsppr, gowalla_split: SplitDataset
     ) -> None:
         config = EvaluationConfig()
-        store = gowalla_split.history_store(kind="arena", base="full")
+        store = gowalla_split.history_store(base="full")
         sequential = evaluate_recommender(
             fitted_tsppr, gowalla_split, config, history_store=store
         )
@@ -233,7 +270,7 @@ class TestEvictionRehydration:
     """Satellite fix: rehydration over a store is a view, not a copy."""
 
     def store_pair(self, split: SplitDataset, capacity: int = 1):
-        provider = split.history_store(kind="arena", base="train")
+        provider = split.history_store(base="train")
         store = SessionStore(
             SMALL_WINDOW.window_size,
             SMALL_WINDOW.min_gap,
@@ -261,7 +298,7 @@ class TestEvictionRehydration:
     def test_rehydration_does_not_replay_wal_tail(
         self, gowalla_split: SplitDataset
     ) -> None:
-        provider = gowalla_split.history_store(kind="arena", base="train")
+        provider = gowalla_split.history_store(base="train")
         calls = []
 
         def event_source(user: int, start: int):

@@ -113,7 +113,7 @@ class TestMillionUserSoak:
     def test_mmap_roundtrip_at_scale(self, million_user_store, tmp_path):
         directory = str(tmp_path / "arena")
         million_user_store.arena.save(directory)
-        reopened = ArenaHistoryStore.open(directory)
+        reopened = ArenaHistoryStore(SessionArena.open(directory))
         assert isinstance(reopened.arena.items, np.memmap)
         assert reopened.arena.n_users == N_USERS
         for user in sample_users(100):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.data.loaders import load_event_log
-from repro.data.stats import per_user_repeat_ratio
 from repro.exceptions import DataError
 from repro.synth.base import SyntheticConfig, generate_dataset
 from repro.synth.copying import (
@@ -15,6 +14,22 @@ from repro.synth.copying import (
 from repro.synth.gowalla import GOWALLA_PRESET, generate_gowalla
 from repro.synth.lastfm import LASTFM_PRESET, generate_lastfm, write_lastfm_event_log
 from repro.synth.popularity import ZipfPopularity
+
+
+def per_user_repeat_ratio(dataset, window_size: int = 100) -> np.ndarray:
+    """Fraction of each user's consumptions (after the first) whose item
+    occurs in the preceding ``window_size`` consumptions."""
+    ratios = np.zeros(dataset.n_users, dtype=np.float64)
+    for sequence in dataset:
+        items = sequence.items.tolist()
+        if len(items) < 2:
+            continue
+        repeats = sum(
+            items[t] in items[max(0, t - window_size):t]
+            for t in range(1, len(items))
+        )
+        ratios[sequence.user] = repeats / (len(items) - 1)
+    return ratios
 
 
 class TestZipfPopularity:

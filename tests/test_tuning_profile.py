@@ -14,10 +14,8 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import TuningError
-from repro.store import STORE_KINDS
 from repro.tuning.defaults import (
     KNOBS,
-    STORE_CHOICES,
     SUBSYSTEMS,
     Knob,
     defaults_for,
@@ -51,15 +49,10 @@ class TestRegistry:
         for subsystem in SUBSYSTEMS:
             assert knobs_for(subsystem)
 
-    def test_store_choices_match_store_kinds(self) -> None:
-        # defaults.py deliberately avoids importing repro.store (it must
-        # stay import-light); this guard keeps the duplicate in sync.
-        assert STORE_CHOICES == STORE_KINDS
-
     def test_cluster_knobs_equal_serving_knobs(self) -> None:
         # Every shard runs the single-node scoring loop.
         assert set(knobs_for("cluster")) == set(knobs_for("serving"))
-        assert len(knobs_for("serving")) == 7
+        assert len(knobs_for("serving")) == 6
 
     def test_defaults_validate(self) -> None:
         for subsystem, name in ALL_KNOBS:
@@ -78,8 +71,8 @@ class TestRegistry:
             knob("serving", "check_interval").validate(0)
         with pytest.raises(TuningError, match="online_lr"):
             knob("serving", "online_lr").validate(0.0)
-        with pytest.raises(TuningError, match="store"):
-            knob("serving", "store").validate("warp")
+        with pytest.raises(TuningError, match="online"):
+            knob("serving", "online").validate("warp")
         with pytest.raises(TuningError, match="expects int"):
             knob("serving", "check_interval").validate(2.5)
         with pytest.raises(TuningError, match="expects int"):
