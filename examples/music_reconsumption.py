@@ -35,14 +35,15 @@ from repro.windows.repeat import candidate_items, is_valid_target
 def main() -> None:
     print("1) Writing a raw listening log with sub-30s skips ...")
     source = generate_lastfm(random_state=11, user_factor=0.25)
-    log_path = Path(tempfile.mkdtemp()) / "listens.tsv"
-    n_rows = write_lastfm_event_log(log_path, source, skip_fraction=0.1,
-                                    random_state=13)
-    print(f"   {n_rows} raw rows written to {log_path}")
+    with tempfile.TemporaryDirectory() as directory:
+        log_path = Path(directory) / "listens.tsv"
+        n_rows = write_lastfm_event_log(log_path, source, skip_fraction=0.1,
+                                        random_state=13)
+        print(f"   {n_rows} raw rows written to {log_path}")
 
-    print("2) Loading with the paper's 30-second dislike filter ...")
-    dataset = load_event_log(log_path, name="Lastfm-like",
-                             min_duration=MIN_LISTEN_SECONDS)
+        print("2) Loading with the paper's 30-second dislike filter ...")
+        dataset = load_event_log(log_path, name="Lastfm-like",
+                                 min_duration=MIN_LISTEN_SECONDS)
     print(f"   {dataset.n_consumptions()} listens kept "
           f"({n_rows - dataset.n_consumptions()} dislikes dropped)")
 

@@ -14,6 +14,20 @@ dense indices. A generic three-column format
 the synthetic generators write the same format so the loader path is
 exercised end to end.
 
+Two readers, one result. :func:`load_event_log` first tries a columnar
+tokenizer: it reads the file in chunks of whole lines, splits each
+chunk once, takes the columns by stride, interns ids to integer codes
+and parses stamps with Python's ``float``. It only accepts a chunk it
+can prove ``csv.reader`` would split the same way: ASCII text, no quote
+character, no NUL, no whitespace but the delimiter and ``\\n`` /
+``\\r\\n`` line ends (so stripping a cell changes nothing), and every
+non-blank row with exactly 3, or exactly 4, non-empty cells. Any other
+input -- and any row with an unparsable or non-finite number -- sends
+the whole load down the row path (:func:`read_events`, one
+``csv.reader`` row and one :class:`EventRecord` at a time), which alone
+produces the line-numbered errors and the quarantine report below. Both
+paths feed the same grouping core, so they build identical datasets.
+
 Dirty-input policy (``on_error``): real logs contain garbage rows, and
 aborting a million-row load on row one is production-hostile. Readers
 accept ``on_error="raise"`` (default — first malformed row raises
@@ -24,16 +38,32 @@ continues, subject to an *error budget*: if more than
 ``error_budget`` (a fraction, default 5%) of the data rows are bad,
 the load aborts with a :class:`~repro.exceptions.DataError` anyway,
 because at that point the log itself is suspect. Exactly-at-budget
-loads succeed. Writers go through the atomic temp-file + rename path
-so a crash mid-write never leaves a truncated log.
+loads succeed. A row is malformed when it has fewer than 3 cells, an
+empty user or item id, or a timestamp or duration that is not a finite
+number (a NaN stamp would otherwise reorder the user's other events).
+Writers go through the atomic temp-file + rename path so a crash
+mid-write never leaves a truncated log.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    TextIO,
+    Tuple,
+    Union,
+)
+
+import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.data.sequence import ConsumptionSequence
@@ -47,6 +77,10 @@ MIN_LISTEN_SECONDS = 30.0
 #: Default ceiling on the fraction of malformed rows tolerated in
 #: ``on_error="skip"`` mode before the whole load is aborted.
 DEFAULT_ERROR_BUDGET = 0.05
+
+#: Characters the columnar tokenizer reads at a time; each chunk is cut
+#: back to its last newline, so rows never straddle two chunks.
+_CHUNK_CHARS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -108,6 +142,17 @@ class LoaderReport:
         return "\n".join(lines)
 
 
+def _check_policy(on_error: str, error_budget: float) -> None:
+    if on_error not in ("raise", "skip"):
+        raise ValueError(
+            f"on_error must be 'raise' or 'skip', got {on_error!r}"
+        )
+    if not 0.0 <= error_budget <= 1.0:
+        raise ValueError(
+            f"error_budget must lie in [0, 1], got {error_budget}"
+        )
+
+
 def _parse_row(
     path: Path, line_number: int, row: List[str]
 ) -> EventRecord:
@@ -126,6 +171,10 @@ def _parse_row(
         raise DataError(
             f"{path}:{line_number}: bad timestamp {raw_timestamp!r}"
         ) from exc
+    if not math.isfinite(timestamp):
+        raise DataError(
+            f"{path}:{line_number}: non-finite timestamp {raw_timestamp!r}"
+        )
     duration: Optional[float] = None
     if len(row) >= 4 and row[3].strip():
         try:
@@ -134,6 +183,10 @@ def _parse_row(
             raise DataError(
                 f"{path}:{line_number}: bad duration {row[3]!r}"
             ) from exc
+        if not math.isfinite(duration):
+            raise DataError(
+                f"{path}:{line_number}: non-finite duration {row[3]!r}"
+            )
     return EventRecord(user=user, item=item, timestamp=timestamp, duration=duration)
 
 
@@ -148,7 +201,8 @@ def read_events(
     """Stream :class:`EventRecord` objects from a delimited log file.
 
     Expected columns: ``user, item, timestamp[, duration]``. Blank lines
-    are skipped.
+    are skipped. ``on_error`` and ``error_budget`` are checked when
+    called, before the first row is read.
 
     Parameters
     ----------
@@ -165,15 +219,20 @@ def read_events(
         Optional caller-owned :class:`LoaderReport` to fill in (one is
         created internally otherwise, so the budget is still enforced).
     """
-    if on_error not in ("raise", "skip"):
-        raise ValueError(
-            f"on_error must be 'raise' or 'skip', got {on_error!r}"
-        )
-    if not 0.0 <= error_budget <= 1.0:
-        raise ValueError(
-            f"error_budget must lie in [0, 1], got {error_budget}"
-        )
-    path = Path(path)
+    _check_policy(on_error, error_budget)
+    return _read_rows(
+        Path(path), delimiter, has_header, on_error, error_budget, report
+    )
+
+
+def _read_rows(
+    path: Path,
+    delimiter: str,
+    has_header: bool,
+    on_error: str,
+    error_budget: float,
+    report: Optional[LoaderReport],
+) -> Iterator[EventRecord]:
     if report is None:
         report = LoaderReport()
     report.path = str(path)
@@ -227,6 +286,69 @@ def write_events(
     return count
 
 
+# ----------------------------------------------------------------------
+# The grouping core shared by both readers
+# ----------------------------------------------------------------------
+
+
+class _Codes(dict):
+    """Raw id -> integer code; an unseen id takes the next code."""
+
+    def __missing__(self, raw_id: Hashable) -> int:
+        code = self[raw_id] = len(self)
+        return code
+
+    def encode(self, ids: Sequence[Hashable]) -> np.ndarray:
+        return np.fromiter(map(self.__getitem__, ids), np.int64, len(ids))
+
+
+def _group(
+    user_codes: np.ndarray,
+    user_ids: List[Hashable],
+    item_codes: np.ndarray,
+    item_ids: List[Hashable],
+    timestamps: np.ndarray,
+    name: str,
+) -> Dataset:
+    """Events in arrival order -> :class:`Dataset`.
+
+    ``user_codes``/``item_codes`` index ``user_ids``/``item_ids``; ids
+    without an event are dropped. The user vocabulary is the sorted raw
+    user ids; each user's events are ordered by timestamp, and because
+    ``np.lexsort`` is stable, ties keep their arrival order. Items are
+    numbered by first appearance in that order. Every sequence is a
+    slice of one item array.
+    """
+    finite = np.isfinite(timestamps)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise DataError(
+            f"non-finite timestamp {float(timestamps[bad])!r} for user "
+            f"{user_ids[user_codes[bad]]!r}, item {item_ids[item_codes[bad]]!r}"
+        )
+    counts = np.bincount(user_codes, minlength=len(user_ids))
+    present = sorted(np.flatnonzero(counts).tolist(), key=user_ids.__getitem__)
+    rank = np.zeros(len(user_ids), np.int64)
+    rank[present] = np.arange(len(present))
+    ordered = item_codes[np.lexsort((timestamps, rank[user_codes]))]
+    codes, first = np.unique(ordered, return_index=True)
+    appearance = codes[np.argsort(first)]
+    renumber = np.zeros(len(item_ids), np.int64)
+    renumber[appearance] = np.arange(len(appearance))
+    items = renumber[ordered]
+    stops = np.cumsum(counts[present]).tolist()
+    sequences = [
+        ConsumptionSequence(user, items[start:stop])
+        for user, (start, stop) in enumerate(zip([0] + stops, stops))
+    ]
+    return Dataset(
+        sequences,
+        Vocabulary(item_ids[code] for code in appearance.tolist()),
+        Vocabulary(user_ids[code] for code in present),
+        name=name,
+    )
+
+
 def events_to_dataset(
     events: Iterable[EventRecord],
     name: str = "dataset",
@@ -241,13 +363,19 @@ def events_to_dataset(
         dropped (the paper's 30-second Last.fm filter). Events without a
         duration column are always kept.
 
+    Raises
+    ------
+    DataError
+        If a kept event's timestamp is not finite.
+
     Notes
     -----
     Sorting is stable, so events sharing a timestamp keep their log
     order — matching how the paper treats time as a position index.
     """
-    per_user: Dict[str, List[Tuple[float, int, str]]] = {}
-    arrival = 0
+    users: List[Hashable] = []
+    items: List[Hashable] = []
+    stamps: List[float] = []
     for event in events:
         if (
             min_duration is not None
@@ -255,19 +383,161 @@ def events_to_dataset(
             and event.duration < min_duration
         ):
             continue
-        per_user.setdefault(event.user, []).append(
-            (event.timestamp, arrival, event.item)
-        )
-        arrival += 1
+        users.append(event.user)
+        items.append(event.item)
+        stamps.append(float(event.timestamp))
+    user_codes, item_codes = _Codes(), _Codes()
+    return _group(
+        user_codes.encode(users),
+        list(user_codes),
+        item_codes.encode(items),
+        list(item_codes),
+        np.array(stamps, dtype=np.float64),
+        name,
+    )
 
-    user_vocab = Vocabulary(sorted(per_user))
-    item_vocab = Vocabulary()
-    sequences: List[ConsumptionSequence] = []
-    for user_index, user_id in enumerate(user_vocab):
-        rows = sorted(per_user[user_id])
-        items = [item_vocab.add(item_id) for _, _, item_id in rows]
-        sequences.append(ConsumptionSequence(user_index, items))
-    return Dataset(sequences, item_vocab, user_vocab, name=name)
+
+# ----------------------------------------------------------------------
+# The columnar tokenizer
+# ----------------------------------------------------------------------
+
+
+def _line_chunks(handle: TextIO, size: int) -> Iterator[str]:
+    """The text of ``handle`` in runs of whole lines, about ``size`` chars each."""
+    pending: List[str] = []  # the unfinished line, joined once it ends
+    for block in iter(lambda: handle.read(size), ""):
+        cut = block.rfind("\n") + 1
+        if cut:
+            yield "".join(pending) + block[:cut]
+            pending = []
+        pending.append(block[cut:])
+    rest = "".join(pending)
+    if rest:
+        yield rest
+
+
+def _forbidden_bytes(delimiter: str) -> np.ndarray:
+    """A byte table marking what could make csv split or strip differently."""
+    table = np.ones(256, dtype=bool)
+    for code in range(128):
+        char = chr(code)
+        table[code] = char.isspace() or char in '"\x00'
+    for allowed in (delimiter, "\n", "\r"):
+        table[ord(allowed)] = False
+    return table
+
+
+def _split_chunk(
+    text: str, delimiter: str, forbidden: np.ndarray, skip_first_line: bool
+) -> Optional[Tuple[int, List[str]]]:
+    """``(n_columns, cells)`` of a run of whole lines, or ``None``.
+
+    ``None`` means the chunk is not provably split the way ``csv.reader``
+    splits it, and the row path must read the file. ``cells`` lists the
+    non-blank rows' cells, row after row.
+    """
+    if not text.isascii():
+        return None
+    data = np.frombuffer(text.encode("ascii"), np.uint8)
+    if forbidden[data].any():
+        return None
+    returns = np.flatnonzero(data == ord("\r"))
+    if returns.size and (
+        returns[-1] + 1 == data.size or (data[returns + 1] != ord("\n")).any()
+    ):
+        return None  # a lone carriage return, which csv reads as a line end
+    limit = csv.field_size_limit()
+    if skip_first_line:
+        start = text.find("\n") + 1 or len(text)
+        if start > limit:
+            return None
+        text, data = text[start:], data[start:]
+    # Row and cell breaks ("\r\n" reads as a row end and a blank row),
+    # with a virtual row end before the text and after an unterminated
+    # last row so that every row looks alike.
+    row_end = (data == ord("\n")) | (data == ord("\r"))
+    breaks = np.flatnonzero(row_end | (data == ord(delimiter)))
+    tail = 0 if text.endswith("\n") else 1
+    positions = np.concatenate(([-1], breaks, np.full(tail, data.size)))
+    at_row_end = np.concatenate(
+        (np.ones(1, bool), row_end[breaks], np.ones(tail, bool))
+    )
+    if positions.size > 1 and np.diff(positions).max() > limit:
+        return None  # csv would refuse the field
+    row_ends = np.flatnonzero(at_row_end)
+    blank = np.diff(positions[row_ends]) == 1
+    delimiters = (np.diff(row_ends) - 1)[~blank]
+    if delimiters.size == 0:
+        return 3, []
+    n_columns = int(delimiters[0]) + 1
+    if n_columns not in (3, 4) or (delimiters != delimiters[0]).any():
+        return None
+    # The breaks are the only whitespace, so a whitespace split yields
+    # the non-empty cells; an empty one (which csv keeps) shows as a
+    # short count.
+    if not delimiter.isspace():
+        text = text.replace(delimiter, " ")
+    cells = text.split()
+    if len(cells) != delimiters.size * n_columns:
+        return None
+    return n_columns, cells
+
+
+def _read_columns(
+    path: Path,
+    delimiter: str,
+    has_header: bool,
+    min_duration: Optional[float],
+) -> Optional[Tuple[tuple, int]]:
+    """``(_group arguments minus name, data rows)``, or ``None`` for the row path."""
+    if not (
+        isinstance(delimiter, str)
+        and len(delimiter) == 1
+        and delimiter.isascii()
+        and delimiter not in '"\r\n\x00'
+    ):
+        return None
+    forbidden = _forbidden_bytes(delimiter)
+    user_codes, item_codes = _Codes(), _Codes()
+    users = [np.zeros(0, np.int64)]
+    items = [np.zeros(0, np.int64)]
+    stamps = [np.zeros(0, np.float64)]
+    n_rows = 0
+    try:
+        with path.open(newline="") as handle:
+            for index, text in enumerate(_line_chunks(handle, _CHUNK_CHARS)):
+                split = _split_chunk(
+                    text, delimiter, forbidden, has_header and index == 0
+                )
+                if split is None:
+                    return None
+                n_columns, cells = split
+                timestamps = np.fromiter(map(float, cells[2::n_columns]), np.float64)
+                if not np.isfinite(timestamps).all():
+                    return None
+                keep = slice(None)
+                if n_columns == 4:
+                    durations = np.fromiter(
+                        map(float, cells[3::n_columns]), np.float64
+                    )
+                    if not np.isfinite(durations).all():
+                        return None
+                    if min_duration is not None:
+                        keep = ~(durations < min_duration)
+                users.append(user_codes.encode(cells[0::n_columns])[keep])
+                items.append(item_codes.encode(cells[1::n_columns])[keep])
+                stamps.append(timestamps[keep])
+                n_rows += timestamps.size
+    except ValueError:  # an unparsable number, or undecodable text
+        return None
+    columns = (
+        np.concatenate(users),
+        list(user_codes),
+        np.concatenate(items),
+        list(item_codes),
+        np.concatenate(stamps),
+    )
+    return columns, n_rows
 
 
 def load_event_log(
@@ -282,22 +552,34 @@ def load_event_log(
 ) -> Dataset:
     """Read a log file straight into a :class:`Dataset`.
 
-    ``on_error``/``error_budget``/``report`` forward to
-    :func:`read_events` (see the module docstring for the policy).
+    Clean logs take the columnar tokenizer; anything it cannot prove it
+    splits like ``csv.reader`` runs :func:`read_events` instead (see the
+    module docstring). ``on_error``/``error_budget``/``report`` follow
+    :func:`read_events`; on the columnar path no row is malformed, so
+    ``report`` only gains the path and the row count.
     """
+    _check_policy(on_error, error_budget)
     path = Path(path)
-    return events_to_dataset(
-        read_events(
-            path,
-            delimiter=delimiter,
-            has_header=has_header,
-            on_error=on_error,
-            error_budget=error_budget,
-            report=report,
-        ),
-        name=name or path.stem,
-        min_duration=min_duration,
-    )
+    name = name or path.stem
+    loaded = _read_columns(path, delimiter, has_header, min_duration)
+    if loaded is None:
+        return events_to_dataset(
+            read_events(
+                path,
+                delimiter=delimiter,
+                has_header=has_header,
+                on_error=on_error,
+                error_budget=error_budget,
+                report=report,
+            ),
+            name=name,
+            min_duration=min_duration,
+        )
+    columns, n_rows = loaded
+    if report is not None:
+        report.path = str(path)
+        report.n_rows += n_rows
+    return _group(*columns, name=name)
 
 
 def save_event_log(
