@@ -21,6 +21,7 @@ compared across changes. Fit time is measured by perfbench's
 
 import json
 import platform
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,13 @@ from repro.experiments.registry import run_experiment
 from repro.tuning.load import LoadGenerator
 
 __all__ = ["LoadGenerator"]
+
+# The seed's per-query kernels are test oracles under tests/; the engine
+# bench times them as its baseline. pytest puts tests/ on sys.path only
+# for a run that collects tests/conftest.py, so do it here too.
+_TESTS_DIR = str(Path(__file__).resolve().parents[1] / "tests")
+if _TESTS_DIR not in sys.path:
+    sys.path.append(_TESTS_DIR)
 
 #: Measurements grouped by output file stem, e.g. ``{"training": {...}}``.
 _BENCH_RESULTS = {}

@@ -1,10 +1,11 @@
 """Bench: batch-scoring engine throughput vs the per-query walk.
 
-The guard drives the exact seed-era evaluation loop — one
-``model.score`` call per target position discovered by
-``iter_evaluation_positions``, followed by the stable top-k argsort —
-against the engine pipeline: ``collect_queries`` once per user, one
-``recommend_batch`` call per user.
+The guard drives the exact seed-era evaluation loop — one call of the
+model's seed per-query kernel (the oracle in ``tests/scoring_oracles.py``)
+per target position discovered by ``iter_evaluation_positions``,
+followed by the stable top-k argsort — against the engine pipeline:
+``collect_queries`` once per user, one ``recommend_batch`` call per
+user.
 
 The workload is a heavy-window regime (|W| = 250, dense targets, large
 personal catalogs with near-uniform repeat choice), where candidate
@@ -27,6 +28,8 @@ import time
 
 import numpy as np
 import pytest
+
+from scoring_oracles import score_reference
 
 from repro.config import TSPPRConfig, WindowConfig
 from repro.data.split import temporal_split
@@ -69,7 +72,7 @@ def bench_split():
 
 
 def _per_query_walk(model, split, window, k=TOP_N):
-    """The seed evaluation loop: score + stable top-k, one call per target."""
+    """The seed evaluation loop: seed kernel + stable top-k per target."""
     n_queries = 0
     for user in range(split.n_users):
         sequence = split.full_sequence(user)
@@ -77,7 +80,7 @@ def _per_query_walk(model, split, window, k=TOP_N):
         for t, candidates in iter_evaluation_positions(
             sequence, boundary, window.window_size, window.min_gap
         ):
-            scores = model.score(sequence, candidates, t)
+            scores = score_reference(model, sequence, candidates, t)
             np.argsort(-np.asarray(scores), kind="stable")[:k]
             n_queries += 1
     return n_queries

@@ -238,8 +238,12 @@ def _read_rows(
     report.path = str(path)
     with path.open(newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
-        for line_number, row in enumerate(reader, start=1):
-            if has_header and line_number == 1:
+        next_line = 1
+        for index, row in enumerate(reader):
+            # A quoted cell may span lines: number each record by the
+            # physical line it starts on.
+            line_number, next_line = next_line, reader.line_num + 1
+            if has_header and index == 0:
                 continue
             if not row or all(not cell.strip() for cell in row):
                 continue

@@ -8,12 +8,11 @@ batched — :meth:`Recommender.score_batch` and
 :class:`~repro.engine.query.Query` objects for one user, letting models
 amortize window and feature state across positions through a
 :class:`~repro.engine.session.ScoringSession`. :meth:`score_batch` is
-the one scoring method a model must implement; the single-query
-:meth:`score` / :meth:`recommend` are thin one-query wrappers over it.
-
-All bundled models also override :meth:`score`: it keeps the seed's
-scalar reference implementation next to the vectorized ``score_batch``
-kernel, and the equivalence suite asserts the two agree bit-identically.
+the one scoring method a model implements; the single-query
+:meth:`score` / :meth:`recommend` are one-query wrappers over it, and
+no bundled model overrides them. The seed's per-query kernels live on
+only as test oracles (``tests/scoring_oracles.py``), which the
+equivalence suite compares with every ``score_batch`` bit for bit.
 
 Scores are "higher means more likely to be the reconsumption at ``t``";
 ranking takes the deterministic top-k (candidate order breaks ties, and
@@ -166,10 +165,8 @@ class Recommender(ABC):
     ) -> np.ndarray:
         """Preference scores for ``candidates`` at position ``t``.
 
-        ``sequence`` is the user's *full* sequence; implementations must
-        only consult positions ``< t``.
-
-        The default routes a single-query batch through
+        ``sequence`` is the user's *full* sequence; only positions
+        ``< t`` are consulted. A one-query batch through
         :meth:`score_batch`.
         """
         return self.score_batch(
@@ -184,14 +181,15 @@ class Recommender(ABC):
     ) -> List[np.ndarray]:
         """Score many queries of one user; one score array per query.
 
-        This is the engine's primary entry point: implementations walk
-        the sequence once (via a
-        :class:`~repro.engine.session.ScoringSession`) instead of
-        rebuilding window state per query, and must return scores
-        bit-identical to per-query :meth:`score` calls. Queries may
-        arrive in any ``t`` order (kernels visit them time-sorted and
-        restore input order); the evaluation protocol always sends them
-        ascending.
+        This is the one scoring path: implementations walk the sequence
+        once (via a :class:`~repro.engine.session.ScoringSession`)
+        instead of rebuilding window state per query. Scores must not
+        depend on how queries are batched or ordered: a query scores
+        the same alone, in any batch and at any position in it (a
+        model that draws from an RNG while scoring, like Random, draws
+        the same stream either way). Queries may arrive in any ``t``
+        order (kernels visit them time-sorted and restore input order);
+        the evaluation protocol always sends them ascending.
         """
 
     # ------------------------------------------------------------------

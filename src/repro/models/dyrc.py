@@ -34,7 +34,7 @@ from repro.exceptions import ModelError
 from repro.features.static import compute_item_quality
 from repro.models.base import Recommender
 from repro.windows.repeat import iter_repeat_positions, recent_items
-from repro.windows.window import WindowView, window_before
+from repro.windows.window import WindowView
 
 
 def recency_ranks(window: WindowView, items: Sequence[int]) -> np.ndarray:
@@ -219,21 +219,6 @@ class DYRCRecommender(Recommender):
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
-    def score(
-        self,
-        sequence: ConsumptionSequence,
-        candidates: Sequence[int],
-        t: int,
-    ) -> np.ndarray:
-        self._check_fitted()
-        assert self._quality is not None
-        assert self.rank_weights_ is not None
-        view = window_before(sequence, t, self.window_config.window_size)
-        items = np.asarray(candidates, dtype=np.int64)
-        ranks = recency_ranks(view, candidates)
-        ranks = np.minimum(ranks, self.rank_weights_.size - 1)
-        return self.quality_weight_ * self._quality[items] + self.rank_weights_[ranks]
-
     def score_batch(
         self,
         sequence: ConsumptionSequence,

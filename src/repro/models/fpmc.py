@@ -227,31 +227,6 @@ class FPMCRecommender(Recommender):
             fault_injector=self._fault_injector,
         )
 
-    def score(
-        self,
-        sequence: ConsumptionSequence,
-        candidates: Sequence[int],
-        t: int,
-    ) -> np.ndarray:
-        self._check_fitted()
-        assert self.user_factors_ is not None
-        assert self.item_user_factors_ is not None
-        assert self.item_basket_factors_ is not None
-        assert self.basket_item_factors_ is not None
-        window = window_before(sequence, t, self.window_config.window_size)
-        basket = np.asarray(window.distinct_items(), dtype=np.int64)
-        items = np.asarray(candidates, dtype=np.int64)
-        if basket.size:
-            eta = self.basket_item_factors_[basket].mean(axis=0)
-            scores = self.item_basket_factors_[items] @ eta
-        else:
-            scores = np.zeros(items.size)
-        if self.use_user_term:
-            scores = scores + (
-                self.item_user_factors_[items] @ self.user_factors_[sequence.user]
-            )
-        return scores
-
     def score_batch(
         self,
         sequence: ConsumptionSequence,
@@ -259,9 +234,9 @@ class FPMCRecommender(Recommender):
     ) -> List[np.ndarray]:
         """Batch kernel: incremental basket maintenance across queries.
 
-        ``session.distinct_window_items()`` is sorted ascending, exactly
-        the row order of ``window.distinct_items()``, so the basket mean
-        reduces over identical rows in identical order.
+        ``session.distinct_window_items()`` is sorted ascending, so the
+        basket mean reduces over the same rows in the same order however
+        the window was reached, and a query scores the same in any batch.
         """
         self._check_fitted()
         assert self.user_factors_ is not None

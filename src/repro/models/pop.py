@@ -40,15 +40,6 @@ class PopRecommender(Recommender):
             )
         return self._popularity[items]
 
-    def score(
-        self,
-        sequence: ConsumptionSequence,
-        candidates: Sequence[int],
-        t: int,
-    ) -> np.ndarray:
-        self._check_fitted()
-        return self._gather(np.asarray(candidates, dtype=np.int64))
-
     def score_batch(
         self,
         sequence: ConsumptionSequence,

@@ -117,28 +117,17 @@ class PPRRecommender(Recommender):
             fault_injector=self._fault_injector,
         )
 
-    def score(
-        self,
-        sequence: ConsumptionSequence,
-        candidates: Sequence[int],
-        t: int,
-    ) -> np.ndarray:
-        self._check_fitted()
-        assert self.user_factors_ is not None
-        assert self.item_factors_ is not None
-        items = np.asarray(candidates, dtype=np.int64)
-        return self.item_factors_[items] @ self.user_factors_[sequence.user]
-
     def score_batch(
         self,
         sequence: ConsumptionSequence,
         queries: Sequence[Query],
     ) -> List[np.ndarray]:
-        """Batch kernel: hoist the user vector, keep per-query GEMV shapes.
+        """Batch kernel: hoist the user vector, one GEMV per query.
 
-        PPR is time-insensitive, so no window state is needed; the
-        ``(n, K) @ (K,)`` product stays per-query because concatenated
-        GEMMs are not bit-identical to the sliced ones on this build.
+        PPR is time-insensitive, so no window state is needed. The
+        ``(n, K) @ (K,)`` product stays per query: one concatenated GEMM
+        blocks differently, so a query's scores would depend on the
+        batch it arrived in.
         """
         self._check_fitted()
         assert self.user_factors_ is not None

@@ -37,15 +37,6 @@ class RandomRecommender(Recommender):
         # Nothing to learn.
         return
 
-    def score(
-        self,
-        sequence: ConsumptionSequence,
-        candidates: Sequence[int],
-        t: int,
-    ) -> np.ndarray:
-        self._check_fitted()
-        return self._rng.random(len(candidates))
-
     def score_batch(
         self,
         sequence: ConsumptionSequence,

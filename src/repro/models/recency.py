@@ -4,14 +4,13 @@ Section 5.2: items are weighted by ``e^{−Δt_uv}`` where ``Δt_uv`` is the
 gap between the recommendation position and the user's last consumption
 of the item. Candidates the user never consumed before ``t`` cannot
 occur under the RRC protocol (candidates come from the window), but the
-implementation still scores them at 0 for robustness.
+implementation still scores them ``-inf``, below every repeat.
 
 The raw exponential underflows to 0 for gaps beyond ~745 steps; scoring
 therefore works on the negated gap directly (a strictly monotone
-transform of ``e^{−Δt}``), so the induced *ranking* is exact at any gap.
-The :meth:`weight` helper exposes the paper's literal weighting scheme,
-and the deliberately exp-shaped :meth:`score_with_exp` preserves the
-baseline's Fig 13 cost profile for the timing experiment.
+transform of ``e^{−Δt}``), so the induced *ranking* is exact at any gap
+and no ``exp`` is computed. The :meth:`weight` helper exposes the
+paper's literal weighting scheme.
 """
 
 from __future__ import annotations
@@ -43,20 +42,6 @@ class RecencyRecommender(Recommender):
         if gap <= 0:
             raise ValueError(f"gap must be positive, got {gap}")
         return float(np.exp(-float(gap)))
-
-    def score(
-        self,
-        sequence: ConsumptionSequence,
-        candidates: Sequence[int],
-        t: int,
-    ) -> np.ndarray:
-        self._check_fitted()
-        scores = np.empty(len(candidates), dtype=np.float64)
-        for index, item in enumerate(candidates):
-            last = sequence.last_position_before(int(item), t)
-            # -inf for never-consumed keeps them strictly below any repeat.
-            scores[index] = -(t - last) if last >= 0 else -np.inf
-        return scores
 
     @staticmethod
     def scores_from_last_positions(lasts: np.ndarray, t: int) -> np.ndarray:
@@ -93,17 +78,3 @@ class RecencyRecommender(Recommender):
             lasts = session.last_positions(items)
             results[index] = self.scores_from_last_positions(lasts, query.t)
         return results
-
-    def score_with_exp(
-        self,
-        sequence: ConsumptionSequence,
-        candidates: Sequence[int],
-        t: int,
-    ) -> np.ndarray:
-        """Literal ``e^{−Δt}`` scores (used by the Fig 13 timing run)."""
-        self._check_fitted()
-        scores = np.empty(len(candidates), dtype=np.float64)
-        for index, item in enumerate(candidates):
-            last = sequence.last_position_before(int(item), t)
-            scores[index] = np.exp(-(t - last)) if last >= 0 else 0.0
-        return scores

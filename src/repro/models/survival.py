@@ -67,115 +67,66 @@ class SurvivalRecommender(Recommender):
             data.durations, data.events, data.covariates
         )
 
-    def score(
-        self,
-        sequence: ConsumptionSequence,
-        candidates: Sequence[int],
-        t: int,
-    ) -> np.ndarray:
-        self._check_fitted()
-        assert self.cox_ is not None
-
-        # Full online pass over the user's history: per-candidate return
-        # gaps, last occurrence and consumption count before t. This is
-        # deliberately O(t) — the time-weighted average return time is an
-        # online feature (see module docstring on the Fig 13 profile).
-        wanted = {int(v) for v in candidates}
-        last_seen: Dict[int, int] = {}
-        counts: Dict[int, int] = {}
-        gaps: Dict[int, List[float]] = {}
-        history = sequence.items[:t].tolist()
-        for position, item in enumerate(history):
-            if item in wanted:
-                previous = last_seen.get(item)
-                if previous is not None:
-                    gaps.setdefault(item, []).append(float(position - previous))
-                last_seen[item] = position
-                counts[item] = counts.get(item, 0) + 1
-
-        n = len(candidates)
-        covariates = np.empty((n, 2), dtype=np.float64)
-        elapsed = np.empty(n, dtype=np.float64)
-        for row, item in enumerate(candidates):
-            item = int(item)
-            count = counts.get(item, 0)
-            covariates[row] = return_covariates(
-                weighted_average_gap(gaps.get(item, [])), max(count, 1)
-            )
-            if count:
-                elapsed[row] = float(t - last_seen[item])
-            else:
-                # Candidate never consumed before t (cannot occur under
-                # the RRC protocol, handled for robustness).
-                elapsed[row] = float(t if t > 0 else 1)
-        if self.mode == "hazard":
-            return self.cox_.expected_return_score(elapsed, covariates)
-        # "due" mode — the paper-faithful continuous-time usage: estimate
-        # each item's return time and rank by how *due* it is (smallest
-        # absolute deviation between the estimate and the elapsed gap).
-        expected = self.cox_.expected_return_time(covariates)
-        return -np.abs(expected - elapsed)
-
     def score_batch(
         self,
         sequence: ConsumptionSequence,
         queries: Sequence[Query],
     ) -> List[np.ndarray]:
-        """Batch kernel: one shared history walk instead of O(t) per query.
+        """One history walk for the batch, restricted to its candidates.
 
-        The per-query path rescans ``items[:t]`` for every position —
-        the very cost Fig 13 charges Survival with. Batched, the walk
-        advances once over the whole evaluated span, maintaining the
-        same last-seen / count / gap-list state for *all* items; each
-        query then reads its candidates' state, producing gap lists (and
-        hence covariates) identical element-for-element to the scan in
-        :meth:`score`.
+        The walk advances once up to the latest query, keeping each
+        wanted item's last-seen position and return-gap list (its
+        consumption count is the gap count + 1). That state depends
+        only on the item's own occurrences before ``t``, so restricting
+        the walk to the union of the batch's candidates is exact: a
+        query scores the same in any batch. A lone query is the O(t)
+        candidate-filtered scan Fig 13 times.
         """
         self._check_fitted()
         assert self.cox_ is not None
         if not queries:
             return []
-        if len(queries) == 1:
-            # A lone query is cheaper through the candidate-filtered
-            # scan than through a full-vocabulary walk.
-            query = queries[0]
-            return [self.score(sequence, list(query.candidates), query.t)]
-        items_sequence = sequence.items
+        wanted = {int(item) for query in queries for item in query.candidates}
+        items = sequence.items
         last_seen: Dict[int, int] = {}
-        counts: Dict[int, int] = {}
         gaps: Dict[int, List[float]] = {}
         cursor = 0
 
         results: List[np.ndarray] = [np.empty(0)] * len(queries)
         for index, query in iter_queries_in_order(queries):
             t = query.t
-            while cursor < t:
-                item = int(items_sequence[cursor])
-                previous = last_seen.get(item)
-                if previous is not None:
-                    gaps.setdefault(item, []).append(float(cursor - previous))
-                last_seen[item] = cursor
-                counts[item] = counts.get(item, 0) + 1
-                cursor += 1
+            for position, item in enumerate(items[cursor:t].tolist(), cursor):
+                if item in wanted:
+                    previous = last_seen.get(item)
+                    if previous is not None:
+                        gaps.setdefault(item, []).append(float(position - previous))
+                    last_seen[item] = position
+            cursor = t
 
             n = len(query.candidates)
             covariates = np.empty((n, 2), dtype=np.float64)
             elapsed = np.empty(n, dtype=np.float64)
             for row, item in enumerate(query.candidates):
                 item = int(item)
-                count = counts.get(item, 0)
+                item_gaps = gaps.get(item, [])
                 covariates[row] = return_covariates(
-                    weighted_average_gap(gaps.get(item, [])), max(count, 1)
+                    weighted_average_gap(item_gaps), len(item_gaps) + 1
                 )
-                if count:
-                    elapsed[row] = float(t - last_seen[item])
+                last = last_seen.get(item)
+                if last is not None:
+                    elapsed[row] = float(t - last)
                 else:
+                    # Candidate never consumed before t (cannot occur
+                    # under the RRC protocol, handled for robustness).
                     elapsed[row] = float(t if t > 0 else 1)
             if self.mode == "hazard":
                 results[index] = self.cox_.expected_return_score(
                     elapsed, covariates
                 )
             else:
+                # "due" mode, the paper-faithful continuous-time usage:
+                # rank by how *due* each item is (smallest deviation of
+                # the estimated return time from the elapsed gap).
                 expected = self.cox_.expected_return_time(covariates)
                 results[index] = -np.abs(expected - elapsed)
         return results

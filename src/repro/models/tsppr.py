@@ -43,7 +43,6 @@ from repro.optim.sgd import SGDResult, run_sgd
 from repro.rng import ensure_rng
 from repro.sampling.quadruples import QuadrupleSet, sample_quadruples
 from repro.sampling.schedule import UserUniformSchedule, small_batch_indices
-from repro.windows.window import window_before
 
 
 class TSPPRRecommender(Recommender):
@@ -289,31 +288,6 @@ class TSPPRRecommender(Recommender):
         """``r_uvt`` (Eq 5) for one item — convenience for inspection."""
         return float(self.score(sequence, [item], t)[0])
 
-    def score(
-        self,
-        sequence: ConsumptionSequence,
-        candidates: Sequence[int],
-        t: int,
-    ) -> np.ndarray:
-        """Per-query reference kernel (rebuilds window state from scratch)."""
-        self._check_fitted()
-        assert self.user_factors_ is not None
-        assert self.item_factors_ is not None
-        user = sequence.user
-        u_vec = self.user_factors_[user]
-        A_u = self._mapping_of(user)
-
-        window = window_before(
-            sequence, t, self.window_config.window_size
-        )
-        features = self.feature_model.matrix(sequence, candidates, t, window)
-        mapped = features @ A_u.T  # (n, K)
-        scores = mapped @ u_vec
-        if self.config.use_static_term:
-            items = np.asarray(candidates, dtype=np.int64)
-            scores = scores + self.item_factors_[items] @ u_vec
-        return scores
-
     def score_batch(
         self,
         sequence: ConsumptionSequence,
@@ -321,10 +295,11 @@ class TSPPRRecommender(Recommender):
     ) -> List[np.ndarray]:
         """Engine kernel: one session walk, vectorized feature columns.
 
-        Per-query matmul shapes are kept identical to :meth:`score`
-        (concatenating queries into one GEMM changes BLAS blocking and
-        breaks bit-identity on this build); the win is the O(1)
-        incremental window state and the per-column feature fills.
+        Each query keeps its own ``(n, F) @ (F, K) @ (K,)`` products:
+        concatenating queries into one GEMM changes BLAS blocking, so a
+        query's scores would depend on the batch it arrived in. The win
+        is the O(1) incremental window state and the per-column feature
+        fills.
         """
         self._check_fitted()
         assert self.user_factors_ is not None

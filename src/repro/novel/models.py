@@ -78,20 +78,6 @@ class NovelPopRecommender(PopRecommender):
 
     name = "Pop (novel)"
 
-    def score(
-        self,
-        sequence: ConsumptionSequence,
-        candidates: Sequence[int],
-        t: int,
-    ) -> np.ndarray:
-        scores = super().score(sequence, candidates, t)
-        consumed = set(sequence.items[:t].tolist())
-        demoted = scores.copy()
-        for index, item in enumerate(candidates):
-            if int(item) in consumed:
-                demoted[index] = -np.inf
-        return demoted
-
     def score_batch(
         self,
         sequence: ConsumptionSequence,

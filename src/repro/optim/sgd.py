@@ -26,7 +26,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import CheckpointError
+from repro.exceptions import CheckpointError, ConvergenceError
 from repro.optim.convergence import ConvergenceMonitor
 from repro.resilience.checkpoint import CheckpointManager, TrainingState
 from repro.resilience.faults import FaultInjector
@@ -95,6 +95,10 @@ def run_sgd(
         blocks never cross a convergence-check boundary.
     batch_margin:
         Returns the current mean margin ``r̃`` on the fixed small batch.
+        A margin that is not finite (the initial check's included)
+        raises :class:`~repro.exceptions.ConvergenceError` naming the
+        update count, before that check is recorded or checkpointed:
+        a diverged fit fails instead of returning NaN factors.
     max_updates:
         Hard budget of updates.
     check_interval:
@@ -134,6 +138,17 @@ def run_sgd(
     n_updates = 0
     converged = False
 
+    def _check() -> bool:
+        # Raised before the check is recorded or checkpointed, so a
+        # diverged state never reaches the history or a snapshot.
+        margin = batch_margin()
+        if not np.isfinite(margin):
+            raise ConvergenceError(
+                f"SGD diverged: batch margin is {margin} after "
+                f"{n_updates} updates"
+            )
+        return monitor.record(n_updates, margin)
+
     def _snapshot() -> TrainingState:
         assert get_state is not None
         return TrainingState(
@@ -166,7 +181,7 @@ def run_sgd(
     if not resumed:
         # The initial check is always recorded (and checkpointed), so
         # every run — however tiny its budget — has a margin history.
-        converged = monitor.record(0, batch_margin())
+        converged = _check()
         if checkpoint is not None:
             checkpoint.maybe_save(_snapshot)
 
@@ -177,7 +192,7 @@ def run_sgd(
                 fault_injector.on_update()
         apply_block(draw_block(block))
         n_updates += block
-        converged = monitor.record(n_updates, batch_margin())
+        converged = _check()
         if checkpoint is not None:
             checkpoint.maybe_save(_snapshot)
 

@@ -360,11 +360,12 @@ class RecommendService:
         ``client_seq`` below the session's live-event count means the
         append already committed — the original position is returned
         without re-applying (the retried duplicate of a request whose
-        reply was lost). The item must match the committed one; a
-        mismatch means the client's counter diverged and raises. A
-        ``client_seq`` beyond the live count is a gap (events lost
-        client-side) and also raises. Assumes one writer per user —
-        the cluster's consistent-hash routing guarantees exactly that.
+        reply was lost). The item must match the one the session holds
+        at that position, with or without a WAL; a mismatch means the
+        client's counter diverged and raises. A ``client_seq`` beyond
+        the live count is a gap (events lost client-side) and also
+        raises. Assumes one writer per user — the cluster's
+        consistent-hash routing guarantees exactly that.
         """
         user, item = int(user), int(item)
         if user < 0:
@@ -391,19 +392,16 @@ class RecommendService:
                     )
                 n_live = session.n_live_events
                 if client_seq < n_live:
-                    committed = (
-                        self.event_log.events_for(user, client_seq)[0]
-                        if self.event_log is not None
-                        else None
-                    )
-                    if committed is not None and committed != item:
+                    position = session.t - n_live + client_seq
+                    committed = int(session.sequence()[position])
+                    if committed != item:
                         raise ServingError(
                             f"duplicate event for user {user} at live seq "
                             f"{client_seq} carries item {item}, but item "
                             f"{committed} is committed there"
                         )
                     self.metrics.inc("duplicate_events")
-                    return session.t - n_live + client_seq
+                    return position
                 if client_seq > n_live:
                     raise ServingError(
                         f"client_seq {client_seq} for user {user} skips "

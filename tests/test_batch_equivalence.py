@@ -1,9 +1,13 @@
 """Bit-identity guarantees of the batch-scoring engine.
 
-Three contracts:
+Four contracts:
 
-* ``score_batch`` returns exactly what per-query ``score`` calls return,
-  for every bundled model (``np.array_equal``, not ``allclose``);
+* ``score_batch`` returns exactly what the seed's per-query kernels
+  (``tests/scoring_oracles.py``) return, for every bundled model
+  (``np.array_equal``, not ``allclose``);
+* a query's scores do not depend on how it is batched: the full batch,
+  a one-query batch and the ``score`` wrapper agree, in any ``t`` order,
+  and no model ships a second ``score`` path;
 * the query-driven evaluation walk produces the same ``UserCounts`` as a
   seed-style per-position ``recommend`` loop;
 * ``evaluate_recommender(workers=4)`` returns the same
@@ -12,13 +16,17 @@ Three contracts:
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import SMALL_WINDOW
+from scoring_oracles import random_score, score_reference
 
+import repro
 from repro.config import EvaluationConfig, TSPPRConfig
 from repro.data.split import SplitDataset
 from repro.engine import Query
@@ -40,8 +48,54 @@ from repro.models.tsppr import TSPPRRecommender
 from repro.novel.models import NovelPopRecommender
 from repro.windows.repeat import iter_evaluation_positions
 
-#: Training budget small enough for per-test fits of the learned models.
+#: Training budget small enough for per-module fits of the learned models.
 QUICK = TSPPRConfig(max_epochs=3000, seed=3)
+
+#: Every bundled model: ``name -> (factory, users compared)``.
+BUNDLED = {
+    "pop": (lambda: PopRecommender(), 4),
+    "novel_pop": (lambda: NovelPopRecommender(), 3),
+    "random": (lambda: RandomRecommender(random_state=123), 1),
+    "recency": (lambda: RecencyRecommender(), 4),
+    "dyrc": (lambda: DYRCRecommender(n_iterations=25), 4),
+    "survival": (lambda: SurvivalRecommender(), 4),
+    "survival_hazard": (lambda: SurvivalRecommender(mode="hazard"), 2),
+    "ppr": (lambda: PPRRecommender(QUICK), 4),
+    "fpmc": (lambda: FPMCRecommender(QUICK), 4),
+    "fpmc_user_term": (
+        lambda: FPMCRecommender(QUICK, use_user_term=True),
+        2,
+    ),
+    "tsppr_hyperbolic": (
+        lambda: TSPPRRecommender(
+            QUICK.with_overrides(recency_kind="hyperbolic")
+        ),
+        3,
+    ),
+    "tsppr_exponential": (
+        lambda: TSPPRRecommender(
+            QUICK.with_overrides(recency_kind="exponential")
+        ),
+        3,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def fitted(gowalla_split):
+    """``fitted(name)``: the bundled model fitted once per module.
+
+    Random is fitted afresh on every call: scoring consumes its RNG, so
+    each caller needs its own stream from the same seed.
+    """
+    cache = {}
+
+    def get(name: str) -> Recommender:
+        if name == "random" or name not in cache:
+            cache[name] = BUNDLED[name][0]().fit(gowalla_split, SMALL_WINDOW)
+        return cache[name]
+
+    return get
 
 
 def _user_queries(split: SplitDataset, user: int):
@@ -54,7 +108,7 @@ def _user_queries(split: SplitDataset, user: int):
     )
 
 
-def assert_batch_matches_per_query(
+def assert_batch_matches_oracle(
     model: Recommender, split: SplitDataset, n_users: int = 4
 ) -> int:
     """Assert bit-identity on every evaluation query of the first users.
@@ -71,7 +125,9 @@ def assert_batch_matches_per_query(
         batched = model.score_batch(sequence, queries)
         assert len(batched) == len(queries)
         for query, scores in zip(queries, batched):
-            reference = model.score(sequence, list(query.candidates), query.t)
+            reference = score_reference(
+                model, sequence, list(query.candidates), query.t
+            )
             np.testing.assert_array_equal(
                 scores,
                 reference,
@@ -83,95 +139,146 @@ def assert_batch_matches_per_query(
 
 
 class TestScoreBatchEquivalence:
-    def test_pop(self, gowalla_split):
-        model = PopRecommender().fit(gowalla_split, SMALL_WINDOW)
-        assert_batch_matches_per_query(model, gowalla_split)
+    def test_pop(self, fitted, gowalla_split):
+        assert_batch_matches_oracle(fitted("pop"), gowalla_split)
 
-    def test_recency(self, gowalla_split):
-        model = RecencyRecommender().fit(gowalla_split, SMALL_WINDOW)
-        assert_batch_matches_per_query(model, gowalla_split)
+    def test_recency(self, fitted, gowalla_split):
+        assert_batch_matches_oracle(fitted("recency"), gowalla_split)
 
-    def test_dyrc(self, gowalla_split):
-        model = DYRCRecommender(n_iterations=25).fit(gowalla_split, SMALL_WINDOW)
-        assert_batch_matches_per_query(model, gowalla_split)
+    def test_dyrc(self, fitted, gowalla_split):
+        assert_batch_matches_oracle(fitted("dyrc"), gowalla_split)
 
-    def test_survival(self, gowalla_split):
-        model = SurvivalRecommender().fit(gowalla_split, SMALL_WINDOW)
-        assert_batch_matches_per_query(model, gowalla_split)
+    def test_survival(self, fitted, gowalla_split):
+        assert_batch_matches_oracle(fitted("survival"), gowalla_split)
 
-    def test_survival_hazard_mode(self, gowalla_split):
-        model = SurvivalRecommender(mode="hazard").fit(
-            gowalla_split, SMALL_WINDOW
+    def test_survival_hazard_mode(self, fitted, gowalla_split):
+        assert_batch_matches_oracle(
+            fitted("survival_hazard"), gowalla_split, n_users=2
         )
-        assert_batch_matches_per_query(model, gowalla_split, n_users=2)
 
-    def test_ppr(self, gowalla_split):
-        model = PPRRecommender(QUICK).fit(gowalla_split, SMALL_WINDOW)
-        assert_batch_matches_per_query(model, gowalla_split)
+    def test_ppr(self, fitted, gowalla_split):
+        assert_batch_matches_oracle(fitted("ppr"), gowalla_split)
 
-    def test_fpmc(self, gowalla_split):
-        model = FPMCRecommender(QUICK).fit(gowalla_split, SMALL_WINDOW)
-        assert_batch_matches_per_query(model, gowalla_split)
+    def test_fpmc(self, fitted, gowalla_split):
+        assert_batch_matches_oracle(fitted("fpmc"), gowalla_split)
 
-    def test_fpmc_with_user_term(self, gowalla_split):
-        model = FPMCRecommender(QUICK, use_user_term=True).fit(
-            gowalla_split, SMALL_WINDOW
+    def test_fpmc_with_user_term(self, fitted, gowalla_split):
+        assert_batch_matches_oracle(
+            fitted("fpmc_user_term"), gowalla_split, n_users=2
         )
-        assert_batch_matches_per_query(model, gowalla_split, n_users=2)
 
     @pytest.mark.parametrize("recency_kind", ["hyperbolic", "exponential"])
-    def test_tsppr(self, gowalla_split, recency_kind):
-        config = QUICK.with_overrides(recency_kind=recency_kind)
-        model = TSPPRRecommender(config).fit(gowalla_split, SMALL_WINDOW)
-        assert_batch_matches_per_query(model, gowalla_split, n_users=3)
+    def test_tsppr(self, fitted, gowalla_split, recency_kind):
+        assert_batch_matches_oracle(
+            fitted(f"tsppr_{recency_kind}"), gowalla_split, n_users=3
+        )
 
-    def test_novel_pop_keeps_demotion(self, gowalla_split):
-        model = NovelPopRecommender().fit(gowalla_split, SMALL_WINDOW)
-        compared = 0
+    def test_novel_pop_keeps_demotion(self, fitted, gowalla_split):
+        model = fitted("novel_pop")
+        compared = assert_batch_matches_oracle(model, gowalla_split, n_users=3)
         for user in range(3):
             sequence = gowalla_split.full_sequence(user)
             queries = _user_queries(gowalla_split, user)
-            if not queries:
-                continue
-            batched = model.score_batch(sequence, queries)
-            for query, scores in zip(queries, batched):
-                reference = model.score(
-                    sequence, list(query.candidates), query.t
-                )
-                np.testing.assert_array_equal(scores, reference)
-                # RRC candidates are always already consumed, so the
-                # novel model must have demoted all of them.
+            # RRC candidates are always already consumed, so the novel
+            # model must have demoted all of them.
+            for scores in model.score_batch(sequence, queries):
                 assert np.all(np.isneginf(scores))
-                compared += 1
         assert compared > 0
 
-    def test_random_draws_identical_stream(self, gowalla_split):
+    def test_random_draws_identical_stream(self, fitted, gowalla_split):
         sequence = gowalla_split.full_sequence(0)
         queries = _user_queries(gowalla_split, 0)
         assert queries
-        reference = RandomRecommender(random_state=123).fit(
-            gowalla_split, SMALL_WINDOW
-        )
-        batched = RandomRecommender(random_state=123).fit(
-            gowalla_split, SMALL_WINDOW
-        )
+        reference = fitted("random")
         expected = [
-            reference.score(sequence, list(q.candidates), q.t) for q in queries
+            random_score(reference, sequence, list(q.candidates), q.t)
+            for q in queries
         ]
-        actual = batched.score_batch(sequence, queries)
+        actual = fitted("random").score_batch(sequence, queries)
         for left, right in zip(expected, actual):
             np.testing.assert_array_equal(left, right)
 
-    def test_out_of_order_queries_return_input_order(self, gowalla_split):
-        model = RecencyRecommender().fit(gowalla_split, SMALL_WINDOW)
+    def test_out_of_order_queries_return_input_order(
+        self, fitted, gowalla_split
+    ):
+        model = fitted("recency")
         sequence = gowalla_split.full_sequence(0)
         queries = _user_queries(gowalla_split, 0)
         assert len(queries) >= 2
         shuffled = list(reversed(queries))
         batched = model.score_batch(sequence, shuffled)
         for query, scores in zip(shuffled, batched):
-            reference = model.score(sequence, list(query.candidates), query.t)
+            reference = score_reference(
+                model, sequence, list(query.candidates), query.t
+            )
             np.testing.assert_array_equal(scores, reference)
+
+
+class TestBatchComposition:
+    """A query scores the same alone, in a batch, and through ``score``."""
+
+    @pytest.mark.parametrize("order", ["ascending", "shuffled"])
+    @pytest.mark.parametrize("name", sorted(BUNDLED))
+    def test_scores_do_not_depend_on_batching(
+        self, fitted, gowalla_split, name, order
+    ):
+        # Three handles: one per path. Deterministic models share the
+        # cached fit; Random gets three equal-seeded streams.
+        whole, alone, wrapped = fitted(name), fitted(name), fitted(name)
+        compared = 0
+        for user in range(BUNDLED[name][1]):
+            sequence = gowalla_split.full_sequence(user)
+            queries = _user_queries(gowalla_split, user)
+            if order == "shuffled":
+                before = [query.t for query in queries]
+                np.random.default_rng(user).shuffle(queries)
+                assert len(queries) < 3 or before != [q.t for q in queries]
+            for query, scores in zip(
+                queries, whole.score_batch(sequence, queries)
+            ):
+                single = alone.score_batch(sequence, [query])[0]
+                wrapper = wrapped.score(sequence, query.candidates, query.t)
+                assert np.array_equal(scores, single), (name, query.t)
+                assert np.array_equal(scores, wrapper), (name, query.t)
+                compared += 1
+        assert compared > 0
+
+
+def _repro_recommenders():
+    """Every ``Recommender`` subclass defined in a ``repro`` module."""
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(module.name)
+    found, stack = [], [Recommender]
+    while stack:
+        for subclass in stack.pop().__subclasses__():
+            stack.append(subclass)
+            if subclass.__module__.split(".")[0] == "repro":
+                found.append(subclass)
+    return found
+
+
+class TestOneScoringPath:
+    def test_no_model_overrides_score(self):
+        classes = _repro_recommenders()
+        assert {cls.__name__ for cls in classes} >= {
+            "PopRecommender",
+            "NovelPopRecommender",
+            "RandomRecommender",
+            "RecencyRecommender",
+            "DYRCRecommender",
+            "SurvivalRecommender",
+            "PPRRecommender",
+            "FPMCRecommender",
+            "TSPPRRecommender",
+            "NovelTSPPRRecommender",
+        }
+        overriding = sorted(
+            f"{cls.__module__}.{cls.__qualname__}.{method}"
+            for cls in classes
+            for method in ("score", "score_with_exp")
+            if method in vars(cls)
+        )
+        assert overriding == []
 
 
 class TestRecommendBatch:

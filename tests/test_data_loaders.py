@@ -58,6 +58,24 @@ class TestReadEvents:
         with pytest.raises(DataError, match=":2:"):
             list(read_events(path))
 
+    def test_line_numbers_count_physical_lines(self, tmp_path):
+        # A quoted cell spans lines 2-4; the bad row starts on line 6.
+        path = _write(
+            tmp_path / "log.tsv",
+            'user\titem\tts\nu\t"a\nb\nc"\t1\n\nu\ti\tx\nu\t"d\ne"\tnan\n',
+        )
+        with pytest.raises(DataError, match=r"log\.tsv:6: bad timestamp 'x'"):
+            load_event_log(path, has_header=True)
+        report = LoaderReport()
+        with pytest.raises(DataError, match="first bad row: line 6:"):
+            load_event_log(
+                path, has_header=True, on_error="skip", report=report
+            )
+        assert [row.line_number for row in report.skipped] == [6, 7]
+        assert report.skipped[1].reason.endswith(
+            ":7: non-finite timestamp 'nan'"
+        )
+
     def test_bad_duration(self, tmp_path):
         path = _write(tmp_path / "log.tsv", "u\ti\t1\txx\n")
         with pytest.raises(DataError, match="duration"):

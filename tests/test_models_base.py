@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from scoring_oracles import score_with_exp
+
 from repro.config import WindowConfig
 from repro.data.sequence import ConsumptionSequence
 from repro.exceptions import EvaluationError, NotFittedError
@@ -149,5 +151,5 @@ class TestRecencyRecommender:
         model = RecencyRecommender().fit(tiny_split)
         sequence = ConsumptionSequence(0, [1, 2, 3, 1, 2])
         fast = model.score(sequence, [1, 2, 3], 5)
-        literal = model.score_with_exp(sequence, [1, 2, 3], 5)
+        literal = score_with_exp(model, sequence, [1, 2, 3], 5)
         assert np.argsort(fast).tolist() == np.argsort(literal).tolist()

@@ -209,6 +209,37 @@ class TestRunSGD:
         assert result.margin_history == ((0, 0.0), (3, 3.0))
         assert result.final_margin == 3.0
 
+    def test_non_finite_initial_margin_raises(self):
+        applied = []
+        with pytest.raises(ConvergenceError, match="nan after 0 updates"):
+            run_sgd(
+                draw_block=_zeros,
+                apply_block=applied.append,
+                batch_margin=lambda: float("nan"),
+                max_updates=100,
+                check_interval=10,
+            )
+        assert applied == []
+
+    def test_first_non_finite_check_raises(self):
+        counter = {"n": 0}
+
+        def update(_index):
+            counter["n"] += 1
+
+        with pytest.raises(ConvergenceError, match="inf after 30 updates"):
+            run_sgd(
+                draw_block=_zeros,
+                apply_block=_each(update),
+                batch_margin=lambda: (
+                    float("inf") if counter["n"] >= 30 else -float(counter["n"])
+                ),
+                max_updates=100,
+                check_interval=10,
+                tol=1e-9,
+            )
+        assert counter["n"] == 30
+
     def test_final_margin_empty_history_raises(self):
         from repro.optim.sgd import SGDResult
 

@@ -5,10 +5,13 @@ newest valid checkpoint produces *bit-identical* results — parameters,
 update counts, and the whole margin history — to an uninterrupted run.
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.config import TSPPRConfig
+from repro.exceptions import ConvergenceError
 from repro.models.fpmc import FPMCRecommender
 from repro.models.ppr import PPRRecommender
 from repro.models.tsppr import TSPPRRecommender
@@ -137,6 +140,45 @@ def _crash_then_resume(model_factory, split, tmp_path):
 
     resumed = model_factory().fit(split, checkpoint_dir=tmp_path)
     return reference, resumed
+
+
+#: A learning rate that makes every pairwise model diverge within a few
+#: hundred updates.
+DIVERGENT = TSPPRConfig(max_epochs=20_000, learning_rate=1e6, seed=1)
+
+
+class TestDivergence:
+    """A fit whose margin stops being finite fails; it never ships NaNs."""
+
+    @pytest.mark.parametrize(
+        "make_model",
+        [TSPPRRecommender, PPRRecommender, FPMCRecommender],
+        ids=["tsppr", "ppr", "fpmc"],
+    )
+    def test_divergent_fit_raises(self, gowalla_split, make_model):
+        model = make_model(DIVERGENT)
+        with np.errstate(all="ignore"):
+            with pytest.raises(
+                ConvergenceError, match=r"margin is nan after \d+ updates"
+            ):
+                model.fit(gowalla_split)
+        assert not model.is_fitted
+
+    def test_diverged_state_is_never_checkpointed(
+        self, gowalla_split, tmp_path
+    ):
+        with np.errstate(all="ignore"):
+            with pytest.raises(ConvergenceError) as raised:
+                TSPPRRecommender(DIVERGENT).fit(
+                    gowalla_split, checkpoint_dir=tmp_path
+                )
+        failed_at = int(re.search(r"after (\d+) updates", str(raised.value))[1])
+        state = CheckpointManager(tmp_path).load_latest()
+        assert state is not None
+        assert state.n_updates < failed_at
+        assert all(np.isfinite(margin) for _, margin in state.history)
+        for name, array in state.params.items():
+            assert np.isfinite(array).all(), name
 
 
 class TestModelResume:

@@ -339,6 +339,26 @@ class TestServiceEdges:
             snapshot = service.metrics_snapshot()
             assert snapshot["counters"]["empty_candidate_requests"] == 1
 
+    def test_duplicate_with_different_item_is_rejected_without_wal(
+        self, gowalla_split: SplitDataset
+    ) -> None:
+        """The dedup check reads the session, so it needs no event log."""
+        model = self.fitted(gowalla_split)
+        config = small_config(n_items=gowalla_split.n_items)
+        with service_for_split(model, gowalla_split, config=config) as service:
+            assert service.event_log is None
+            position = service.ingest(0, 5, client_seq=0)
+            assert service.ingest(0, 5, client_seq=0) == position
+            with pytest.raises(ServingError, match="item 5 is committed"):
+                service.ingest(0, 7, client_seq=0)
+            session = service.store.get(0)
+            assert session.t == position + 1
+            assert session.n_live_events == 1
+            assert int(session.sequence()[position]) == 5
+            counters = service.metrics_snapshot()["counters"]
+            assert counters["duplicate_events"] == 1
+            assert counters["events"] == 1
+
     def test_rejects_unfitted_model(self, gowalla_split: SplitDataset) -> None:
         store = SessionStore(SMALL_WINDOW.window_size, SMALL_WINDOW.min_gap)
         with pytest.raises(ServingError, match="fitted"):
