@@ -43,7 +43,9 @@ from repro.experiments.registry import (
     available_experiments,
     run_experiment,
 )
+from repro.exceptions import ModelError
 from repro.logging_utils import enable_console_logging, get_logger
+from repro.models.base import check_fit_workers
 from repro.resilience.journal import RunJournal
 from repro.serving.cli import (
     add_cluster_arguments,
@@ -289,8 +291,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"--retries must be >= 0, got {args.retries}")
     if args.workers < 1:
         parser.error(f"--workers must be >= 1, got {args.workers}")
-    if args.fit_workers < 1:
-        parser.error(f"--fit-workers must be >= 1, got {args.fit_workers}")
+    try:
+        check_fit_workers(args.fit_workers)
+    except ModelError as exc:
+        parser.error(f"--fit-workers: {exc}")
 
     if args.verbose:
         enable_console_logging()

@@ -56,7 +56,7 @@ from repro.models.base import Recommender
 from repro.serving.client import ServingClient
 from repro.serving.events import EventLog
 from repro.serving.service import ServiceConfig
-from repro.serving.state import SessionStore
+from repro.serving.state import DEFAULT_CAPACITY, SessionStore
 
 logger = get_logger("cluster.supervisor")
 
@@ -177,7 +177,7 @@ class ShardSupervisor:
         config: ServiceConfig,
         n_shards: int,
         run_dir: Union[str, Path],
-        capacity: int = 1024,
+        capacity: int = DEFAULT_CAPACITY,
         host: str = "127.0.0.1",
         vnodes: int = 64,
         heartbeat_interval_s: float = 0.25,

@@ -42,6 +42,7 @@ from repro.resilience.atomic import atomic_write_json
 from repro.serving.events import EventLog
 from repro.serving.server import RecommendServer
 from repro.serving.service import ServiceConfig, service_for_split
+from repro.serving.state import DEFAULT_CAPACITY
 
 logger = get_logger("cluster.worker")
 
@@ -77,7 +78,7 @@ class WorkerSpec:
     log_path: Path
     endpoint_path: Path
     host: str = "127.0.0.1"
-    capacity: int = 1024
+    capacity: int = DEFAULT_CAPACITY
     fsync_policy: str = "always"
     store_dir: Optional[Path] = None
 

@@ -201,8 +201,9 @@ def read_events(
     """Stream :class:`EventRecord` objects from a delimited log file.
 
     Expected columns: ``user, item, timestamp[, duration]``. Blank lines
-    are skipped. ``on_error`` and ``error_budget`` are checked when
-    called, before the first row is read.
+    are skipped; with ``has_header`` the first non-blank record is the
+    header. ``on_error`` and ``error_budget`` are checked when called,
+    before the first row is read.
 
     Parameters
     ----------
@@ -236,16 +237,18 @@ def _read_rows(
     if report is None:
         report = LoaderReport()
     report.path = str(path)
+    header_pending = has_header
     with path.open(newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         next_line = 1
-        for index, row in enumerate(reader):
+        for row in reader:
             # A quoted cell may span lines: number each record by the
             # physical line it starts on.
             line_number, next_line = next_line, reader.line_num + 1
-            if has_header and index == 0:
-                continue
             if not row or all(not cell.strip() for cell in row):
+                continue
+            if header_pending:  # the first non-blank record
+                header_pending = False
                 continue
             report.n_rows += 1
             try:
@@ -432,13 +435,15 @@ def _forbidden_bytes(delimiter: str) -> np.ndarray:
 
 
 def _split_chunk(
-    text: str, delimiter: str, forbidden: np.ndarray, skip_first_line: bool
+    text: str, delimiter: str, forbidden: np.ndarray, skip_header: bool
 ) -> Optional[Tuple[int, List[str]]]:
     """``(n_columns, cells)`` of a run of whole lines, or ``None``.
 
     ``None`` means the chunk is not provably split the way ``csv.reader``
     splits it, and the row path must read the file. ``cells`` lists the
-    non-blank rows' cells, row after row.
+    non-blank rows' cells, row after row. ``skip_header`` drops the
+    first non-blank line (blank: only delimiters and line ends, the
+    only whitespace a chunk that gets this far holds).
     """
     if not text.isascii():
         return None
@@ -451,8 +456,9 @@ def _split_chunk(
     ):
         return None  # a lone carriage return, which csv reads as a line end
     limit = csv.field_size_limit()
-    if skip_first_line:
-        start = text.find("\n") + 1 or len(text)
+    if skip_header:
+        lead = len(text) - len(text.lstrip(delimiter + "\r\n"))
+        start = text.find("\n", lead) + 1 or len(text)
         if start > limit:
             return None
         text, data = text[start:], data[start:]
@@ -507,14 +513,17 @@ def _read_columns(
     items = [np.zeros(0, np.int64)]
     stamps = [np.zeros(0, np.float64)]
     n_rows = 0
+    header_pending = has_header
     try:
         with path.open(newline="") as handle:
-            for index, text in enumerate(_line_chunks(handle, _CHUNK_CHARS)):
-                split = _split_chunk(
-                    text, delimiter, forbidden, has_header and index == 0
-                )
+            for text in _line_chunks(handle, _CHUNK_CHARS):
+                split = _split_chunk(text, delimiter, forbidden, header_pending)
                 if split is None:
                     return None
+                # A chunk of blank lines leaves the header to the next.
+                header_pending = header_pending and not text.strip(
+                    delimiter + "\r\n"
+                )
                 n_columns, cells = split
                 timestamps = np.fromiter(map(float, cells[2::n_columns]), np.float64)
                 if not np.isfinite(timestamps).all():

@@ -60,16 +60,6 @@ class ExperimentError(ReproError):
     """An experiment runner was misconfigured or referenced unknown ids."""
 
 
-class TuningError(ReproError):
-    """A knob name or value is invalid.
-
-    Raised when a knob is unknown to the registry or its value falls
-    outside the registered type or range — always at startup, so a bad
-    flag fails the server with a typed error instead of crashing
-    mid-serve.
-    """
-
-
 class OnlineError(ReproError):
     """Raised for online-learning failures (``repro.online``)."""
 

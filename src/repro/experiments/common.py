@@ -71,7 +71,8 @@ class ExperimentScale:
     fit_workers:
         Training worker processes for the parallel feature-cache build
         (see :meth:`repro.features.cache.QuadrupleFeatureCache.build`);
-        also bit-identical at any value.
+        also bit-identical at any value. :meth:`Recommender.fit
+        <repro.models.base.Recommender.fit>` checks its range.
     """
 
     name: str
@@ -89,8 +90,6 @@ class ExperimentScale:
             raise ExperimentError("max_epochs must be positive")
         if self.workers <= 0:
             raise ExperimentError("workers must be positive")
-        if self.fit_workers <= 0:
-            raise ExperimentError("fit_workers must be positive")
 
 
 #: Tiny profile for unit/integration tests.

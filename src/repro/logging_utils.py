@@ -9,9 +9,7 @@ a convenience for scripts and the CLI.
 from __future__ import annotations
 
 import logging
-import time
-from contextlib import contextmanager
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 
 def coerce_level(level: Union[int, str]) -> int:
@@ -58,13 +56,3 @@ def enable_console_logging(
         logger.addHandler(handler)
     return logger
 
-
-@contextmanager
-def log_duration(logger: logging.Logger, label: str) -> Iterator[None]:
-    """Log how long the enclosed block took, at DEBUG level."""
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        elapsed = time.perf_counter() - start
-        logger.debug("%s took %.3fs", label, elapsed)

@@ -32,12 +32,29 @@ from repro.config import WindowConfig
 from repro.data.sequence import ConsumptionSequence
 from repro.data.split import SplitDataset
 from repro.engine.query import Query
-from repro.exceptions import EvaluationError, NotFittedError
+from repro.exceptions import EvaluationError, ModelError, NotFittedError
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.faults import FaultInjector
-from repro.tuning.defaults import resolve
 
-__all__ = ["Query", "Recommender", "rank_top_k"]
+__all__ = [
+    "MAX_FIT_WORKERS",
+    "Query",
+    "Recommender",
+    "check_fit_workers",
+    "rank_top_k",
+]
+
+#: The most worker processes :meth:`Recommender.fit` accepts.
+MAX_FIT_WORKERS = 256
+
+
+def check_fit_workers(fit_workers: int) -> int:
+    """``fit_workers`` if it lies in ``[1, MAX_FIT_WORKERS]``, else :class:`ModelError`."""
+    if not 1 <= fit_workers <= MAX_FIT_WORKERS:
+        raise ModelError(
+            f"fit_workers must be in [1, {MAX_FIT_WORKERS}], got {fit_workers}"
+        )
+    return fit_workers
 
 
 def rank_top_k(
@@ -116,15 +133,16 @@ class Recommender(ABC):
             Worker processes for the parallelizable parts of training
             (currently the feature-cache build). Results are
             bit-identical at any worker count; models without a
-            feature cache ignore it. ``None`` means the registry
-            default; a value outside the registered range raises
-            :class:`~repro.exceptions.TuningError`.
+            feature cache ignore it. ``None`` means 1; a value outside
+            ``[1, MAX_FIT_WORKERS]`` raises
+            :class:`~repro.exceptions.ModelError`.
         """
         window = window or WindowConfig()
-        resolved = resolve("training", cli={"fit_workers": fit_workers})
+        self._fit_workers = check_fit_workers(
+            1 if fit_workers is None else fit_workers
+        )
         self._window_config = window
         self._fault_injector = fault_injector
-        self._fit_workers = int(resolved["fit_workers"].value)  # type: ignore[arg-type]
         self._checkpoint_manager = None
         if checkpoint_dir is not None:
             self._checkpoint_manager = CheckpointManager(

@@ -52,7 +52,7 @@ from repro.logging_utils import get_logger
 from repro.online.adapters import Update, adapter_for
 from repro.resilience.checkpoint import CheckpointManager, TrainingState
 from repro.serving.metrics import ServingMetrics
-from repro.tuning.defaults import default_of
+from repro.serving.service import ServiceConfig
 
 logger = get_logger("online.trainer")
 
@@ -84,9 +84,9 @@ class OnlineTrainer:
         A fitted TS-PPR/PPR/FPMC recommender (the live serving model —
         updates mutate its factor arrays in place).
     learning_rate / batch_window:
-        The ``serving.online_lr`` / ``serving.online_batch`` knobs:
-        per-event step size, and how many captured updates buffer
-        before one batched kernel flush.
+        The ``online_lr`` / ``online_batch`` knobs: per-event step
+        size, and how many captured updates buffer before one batched
+        kernel flush. ``None`` takes :class:`ServiceConfig`'s default.
     seed:
         Seed of the trainer's private negative-sampling RNG. Live
         trainer and replay rebuild must agree on it (both default it).
@@ -115,9 +115,9 @@ class OnlineTrainer:
         checkpoint_manager: Optional[CheckpointManager] = None,
     ) -> None:
         if learning_rate is None:
-            learning_rate = float(default_of("serving", "online_lr"))
+            learning_rate = ServiceConfig.online_lr
         if batch_window is None:
-            batch_window = int(default_of("serving", "online_batch"))
+            batch_window = ServiceConfig.online_batch
         if learning_rate <= 0:
             raise OnlineError(
                 f"learning_rate must be positive, got {learning_rate}"

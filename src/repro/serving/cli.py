@@ -26,9 +26,10 @@ whole toolbox stays reachable from one entry point.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.config import TSPPRConfig, WindowConfig
 from repro.data.split import SplitDataset, temporal_split
@@ -42,11 +43,10 @@ from repro.models.recency import RecencyRecommender
 from repro.models.tsppr import TSPPRRecommender
 from repro.serving.events import EventLog, scan_events
 from repro.serving.server import RecommendServer
-from repro.serving.service import ServiceConfig, service_for_split
-from repro.serving.state import SessionStore
+from repro.serving.service import ONLINE_MODES, ServiceConfig, service_for_split
+from repro.serving.state import DEFAULT_CAPACITY, SessionStore, check_capacity
 from repro.synth.gowalla import generate_gowalla
 from repro.synth.lastfm import generate_lastfm
-from repro.tuning.defaults import ResolvedKnob, describe, knob, resolve, values_of
 
 logger = get_logger("serving.cli")
 
@@ -56,16 +56,21 @@ MODEL_CHOICES = ("recency", "pop", "tsppr", "ppr", "fpmc")
 #: Dataset names accepted by ``--dataset``.
 DATASET_CHOICES = ("gowalla", "lastfm")
 
-#: Registry knobs ``serve`` and ``cluster`` expose as flags (argparse
-#: dest == knob name).
-KNOB_ARGS = (
+#: :class:`ServiceConfig` fields exposed as flags (argparse dest ==
+#: field name); ``replay`` has only the ``online*`` ones.
+SERVICE_KNOBS = (
     "check_interval",
     "max_inflight_rows",
-    "capacity",
     "online",
     "online_lr",
     "online_batch",
 )
+
+#: Every system knob ``serve`` and ``cluster`` expose as a flag: the
+#: :class:`ServiceConfig` fields plus the session store's ``capacity``.
+#: Each flag defaults to ``None`` ("not given"), so the consumer's own
+#: default applies and the startup line can tell the two apart.
+KNOB_ARGS = SERVICE_KNOBS + ("capacity",)
 
 
 def build_split(dataset: str, seed: int) -> SplitDataset:
@@ -99,31 +104,6 @@ def build_model(
     return model.fit(split)
 
 
-def _knob_flag_help(name: str) -> str:
-    """Registry help + default, so flag docs never drift from the registry."""
-    entry = knob("serving", name)
-    return f"{entry.help} (default: {entry.default})"
-
-
-def resolve_knob_args(
-    args: argparse.Namespace, subsystem: str, names: Sequence[str]
-) -> "dict[str, ResolvedKnob]":
-    """Resolve a subcommand's knob flags against the registry defaults.
-
-    ``names`` lists the argparse dests (== knob names) the subcommand
-    exposes; their parser defaults are ``None`` sentinels, so only knobs
-    the user explicitly set are logged as ``(cli)``.
-    """
-    cli = {
-        name: getattr(args, name)
-        for name in names
-        if getattr(args, name, None) is not None
-    }
-    resolved = resolve(subsystem, cli=cli)
-    logger.info("resolved %s knobs: %s", subsystem, describe(resolved))
-    return resolved
-
-
 def add_store_arguments(parser: argparse.ArgumentParser) -> None:
     """The history-backing option shared by serve, cluster, and replay."""
     parser.add_argument(
@@ -143,20 +123,28 @@ def add_online_arguments(
     parser.add_argument(
         "--online",
         default=None,
-        choices=knob("serving", "online").choices,
-        help=_knob_flag_help("online"),
+        choices=ONLINE_MODES,
+        help="incremental model updates per ingested event: off (frozen "
+        "factors) or isgd per-event SGD; the live model stays "
+        "bit-identical to a checkpoint+WAL-replay rebuild either way "
+        f"(default: {ServiceConfig.online})",
     )
     parser.add_argument(
         "--online-lr",
         type=float,
         default=None,
-        help=_knob_flag_help("online_lr"),
+        help="online mode: ISGD learning rate applied per event, "
+        "independent of the offline fit's schedule "
+        f"(default: {ServiceConfig.online_lr})",
     )
     parser.add_argument(
         "--online-batch",
         type=int,
         default=None,
-        help=_knob_flag_help("online_batch"),
+        help="online mode: events buffered before one batched kernel "
+        "flush; final parameters are bit-identical at any window, so it "
+        "only trades update lag against how often kernel work lands on "
+        f"the serving tail (default: {ServiceConfig.online_batch})",
     )
     if include_checkpoint_dir:
         parser.add_argument(
@@ -175,13 +163,17 @@ def add_scoring_arguments(parser: argparse.ArgumentParser) -> None:
         "--check-interval",
         type=int,
         default=None,
-        help=_knob_flag_help("check_interval"),
+        help="max queries scored per model call: the kernel boundary at "
+        "which requests admit and retire "
+        f"(default: {ServiceConfig.check_interval})",
     )
     parser.add_argument(
         "--max-inflight-rows",
         type=int,
         default=None,
-        help=_knob_flag_help("max_inflight_rows"),
+        help="admission-control bound on the candidate rows of admitted "
+        "requests; requests beyond it wait in the overflow queue "
+        f"(default: {ServiceConfig.max_inflight_rows})",
     )
 
 
@@ -213,7 +205,8 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         "--capacity",
         type=int,
         default=None,
-        help=_knob_flag_help("capacity"),
+        help="max resident live sessions before LRU eviction "
+        f"(default: {DEFAULT_CAPACITY})",
     )
     add_store_arguments(parser)
     add_scoring_arguments(parser)
@@ -277,7 +270,8 @@ def add_cluster_arguments(parser: argparse.ArgumentParser) -> None:
         "--capacity",
         type=int,
         default=None,
-        help="per-shard " + _knob_flag_help("capacity"),
+        help="per-shard max resident live sessions before LRU eviction "
+        f"(default: {DEFAULT_CAPACITY})",
     )
     # The supervisor packs once into --store-dir before forking, and
     # every shard maps those columns.
@@ -388,38 +382,62 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def service_config(
-    knobs: "dict[str, object]", deadline_ms: Optional[float], n_items: int
-) -> ServiceConfig:
-    """The :class:`ServiceConfig` a resolved serve/cluster knob set names."""
+def service_config(args: argparse.Namespace) -> ServiceConfig:
+    """The :class:`ServiceConfig` a subcommand's flags name.
+
+    A knob flag left unset keeps the field default; an out-of-range
+    value raises :class:`~repro.exceptions.ServingError` naming it.
+    """
+    given = {
+        name: getattr(args, name)
+        for name in SERVICE_KNOBS
+        if getattr(args, name, None) is not None
+    }
     return ServiceConfig(
-        default_deadline_ms=deadline_ms,
-        check_interval=int(knobs["check_interval"]),  # type: ignore[arg-type]
-        max_inflight_rows=int(knobs["max_inflight_rows"]),  # type: ignore[arg-type]
-        n_items=n_items,
-        online=str(knobs["online"]),
-        online_lr=float(knobs["online_lr"]),  # type: ignore[arg-type]
-        online_batch=int(knobs["online_batch"]),  # type: ignore[arg-type]
+        default_deadline_ms=getattr(args, "deadline_ms", None), **given
     )
+
+
+def startup_knobs(
+    args: argparse.Namespace, subsystem: str
+) -> Tuple[ServiceConfig, int]:
+    """Check the ``serve``/``cluster`` knob flags and print their line.
+
+    Returns the :class:`ServiceConfig` and session-store capacity the
+    flags name. Called before the dataset is built, so a bad flag fails
+    before any fit. The printed ``resolved <subsystem> knobs: ...`` line
+    names every knob with its value and source: ``(cli)`` when its flag
+    was given, ``(default)`` otherwise.
+    """
+    config = service_config(args)
+    capacity = check_capacity(
+        DEFAULT_CAPACITY if args.capacity is None else args.capacity
+    )
+    values = {name: getattr(config, name) for name in SERVICE_KNOBS}
+    values["capacity"] = capacity
+    line = " ".join(
+        f"{name}={values[name]}"
+        f"({'default' if getattr(args, name) is None else 'cli'})"
+        for name in sorted(values)
+    )
+    print(f"resolved {subsystem} knobs: {line}")
+    return config, capacity
 
 
 def run_serve(args: argparse.Namespace) -> int:
     """Build split + model + service and serve until interrupted."""
-    resolved = resolve_knob_args(args, "serving", KNOB_ARGS)
-    knobs = values_of(resolved)
-    print(f"resolved serving knobs: {describe(resolved)}")
+    config, capacity = startup_knobs(args, "serving")
     split = build_split(args.dataset, args.seed)
     model = build_model(args.model, split, args.max_epochs, args.seed)
     event_log = (
         EventLog.open(args.event_log) if args.event_log is not None else None
     )
-    config = service_config(knobs, args.deadline_ms, split.n_items)
     service = service_for_split(
         model,
         split,
         event_log=event_log,
-        config=config,
-        capacity=int(knobs["capacity"]),  # type: ignore[arg-type]
+        config=dataclasses.replace(config, n_items=split.n_items),
+        capacity=capacity,
         store_dir=(
             str(args.store_dir) if args.store_dir is not None else None
         ),
@@ -454,19 +472,16 @@ def run_cluster(args: argparse.Namespace) -> int:
     from repro.cluster.router import ClusterRouter
     from repro.cluster.supervisor import ShardSupervisor
 
-    resolved = resolve_knob_args(args, "cluster", KNOB_ARGS)
-    knobs = values_of(resolved)
-    print(f"resolved cluster knobs: {describe(resolved)}")
+    config, capacity = startup_knobs(args, "cluster")
     split = build_split(args.dataset, args.seed)
     model = build_model(args.model, split, args.max_epochs, args.seed)
-    config = service_config(knobs, args.deadline_ms, split.n_items)
     supervisor = ShardSupervisor(
         split,
         model,
-        config,
+        dataclasses.replace(config, n_items=split.n_items),
         n_shards=args.shards,
         run_dir=args.run_dir,
-        capacity=int(knobs["capacity"]),  # type: ignore[arg-type]
+        capacity=capacity,
         host=args.host,
         vnodes=args.vnodes,
         heartbeat_interval_s=args.heartbeat_interval,
@@ -486,7 +501,7 @@ def run_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_replay_online(args: argparse.Namespace) -> int:
+def run_replay_online(args: argparse.Namespace, config: ServiceConfig) -> int:
     """Rebuild the online-updated *model* from the log, streaming.
 
     Refits the frozen model exactly as ``serve`` did, then streams the
@@ -498,13 +513,12 @@ def run_replay_online(args: argparse.Namespace) -> int:
     """
     from repro.online.trainer import OnlineTrainer
 
-    resolved = resolve_knob_args(args, "serving", ("online_lr", "online_batch"))
     split = build_split(args.dataset, args.seed)
     model = build_model(args.model, split, args.max_epochs, args.seed)
     trainer = OnlineTrainer(
         model,
-        learning_rate=float(resolved["online_lr"].value),
-        batch_window=int(resolved["online_batch"].value),
+        learning_rate=config.online_lr,
+        batch_window=config.online_batch,
     )
 
     window = WindowConfig()
@@ -545,9 +559,9 @@ def run_replay(args: argparse.Namespace) -> int:
     if not args.event_log.exists():
         print(f"event log not found: {args.event_log}", file=sys.stderr)
         return 1
-    online = args.online if args.online is not None else "off"
-    if online != "off":
-        return run_replay_online(args)
+    config = service_config(args)
+    if config.online != "off":
+        return run_replay_online(args, config)
     log = EventLog.open(args.event_log, readonly=True)
     split = build_split(args.dataset, args.seed)
     provider = split.history_store(

@@ -59,19 +59,32 @@ from repro.models.base import Recommender, rank_top_k
 from repro.models.recency import RecencyRecommender
 from repro.serving.events import EventLog
 from repro.serving.metrics import ServingMetrics
-from repro.serving.state import SessionStore
-from repro.tuning.defaults import defaults_for
+from repro.serving.state import DEFAULT_CAPACITY, SessionStore
 
 logger = get_logger("serving.service")
 
-#: Registry-declared serving knob defaults (one source of truth; see
-#: ``repro.tuning.defaults``), consumed as ServiceConfig field defaults.
-_KNOB_DEFAULTS = defaults_for("serving")
+#: The values :attr:`ServiceConfig.online` accepts.
+ONLINE_MODES = ("off", "isgd")
+
+#: Inclusive ``(low, high)`` bounds of :class:`ServiceConfig`'s numeric
+#: knobs; a value outside them is rejected at construction.
+KNOB_RANGES = {
+    "check_interval": (1, 4096),
+    "max_inflight_rows": (1, 1 << 22),
+    "online_lr": (1e-6, 1.0),
+    "online_batch": (1, 4096),
+}
 
 
 @dataclass(frozen=True)
 class ServiceConfig:
     """Operational knobs of one :class:`RecommendService`.
+
+    The field defaults are the system defaults of ``repro-serve``'s
+    flags. ``check_interval``, ``max_inflight_rows``, ``online_lr`` and
+    ``online_batch`` must lie in :data:`KNOB_RANGES`, and ``online`` in
+    :data:`ONLINE_MODES`; anything else raises :class:`ServingError`
+    naming the field.
 
     Attributes
     ----------
@@ -114,38 +127,28 @@ class ServiceConfig:
 
     window: WindowConfig = field(default_factory=WindowConfig)
     default_k: int = 10
-    max_inflight_rows: int = int(_KNOB_DEFAULTS["max_inflight_rows"])  # type: ignore[arg-type]
-    check_interval: int = int(_KNOB_DEFAULTS["check_interval"])  # type: ignore[arg-type]
+    max_inflight_rows: int = 32768
+    check_interval: int = 16
     manual_pump: bool = False
     default_deadline_ms: Optional[float] = None
     n_items: Optional[int] = None
-    online: str = str(_KNOB_DEFAULTS["online"])
-    online_lr: float = float(_KNOB_DEFAULTS["online_lr"])  # type: ignore[arg-type]
-    online_batch: int = int(_KNOB_DEFAULTS["online_batch"])  # type: ignore[arg-type]
+    online: str = "off"
+    online_lr: float = 0.05
+    online_batch: int = 256
 
     def __post_init__(self) -> None:
         if self.default_k <= 0:
             raise ServingError(f"default_k must be positive, got {self.default_k}")
-        if self.online not in ("off", "isgd"):
+        if self.online not in ONLINE_MODES:
             raise ServingError(
-                f"online must be 'off' or 'isgd', got {self.online!r}"
+                f"online must be one of {ONLINE_MODES}, got {self.online!r}"
             )
-        if self.online_lr <= 0:
-            raise ServingError(
-                f"online_lr must be positive, got {self.online_lr}"
-            )
-        if self.online_batch < 1:
-            raise ServingError(
-                f"online_batch must be >= 1, got {self.online_batch}"
-            )
-        if self.max_inflight_rows < 1:
-            raise ServingError(
-                f"max_inflight_rows must be >= 1, got {self.max_inflight_rows}"
-            )
-        if self.check_interval < 1:
-            raise ServingError(
-                f"check_interval must be >= 1, got {self.check_interval}"
-            )
+        for name, (low, high) in KNOB_RANGES.items():
+            value = getattr(self, name)
+            if not low <= value <= high:
+                raise ServingError(
+                    f"{name} must be in [{low}, {high}], got {value}"
+                )
         if self.default_deadline_ms is not None and self.default_deadline_ms < 0:
             raise ServingError(
                 f"default_deadline_ms must be non-negative, got "
@@ -854,7 +857,7 @@ def service_for_split(
     split: SplitDataset,
     event_log: Optional[EventLog] = None,
     config: Optional[ServiceConfig] = None,
-    capacity: int = int(_KNOB_DEFAULTS["capacity"]),  # type: ignore[arg-type]
+    capacity: int = DEFAULT_CAPACITY,
     store_dir: Optional[str] = None,
     online_checkpoint_dir: Optional[str] = None,
 ) -> RecommendService:

@@ -42,6 +42,21 @@ from repro.store.session import StoreSession
 #: unknown to the dataset (served cold, from live events only).
 HistoryProvider = Callable[[int], Optional[ConsumptionSequence]]
 
+#: :class:`SessionStore`'s default LRU capacity (resident sessions).
+DEFAULT_CAPACITY = 1024
+
+#: The largest capacity :class:`SessionStore` accepts.
+MAX_CAPACITY = 1 << 24
+
+
+def check_capacity(capacity: int) -> int:
+    """``capacity`` if it lies in ``[1, MAX_CAPACITY]``, else :class:`ServingError`."""
+    if not 1 <= capacity <= MAX_CAPACITY:
+        raise ServingError(
+            f"capacity must be in [1, {MAX_CAPACITY}], got {capacity}"
+        )
+    return capacity
+
 
 class LiveSession:
     """Window/Ω/recency state of one user, updatable one event at a time.
@@ -282,8 +297,8 @@ class SessionStore:
     window_size / min_gap:
         Protocol parameters every session is built with.
     capacity:
-        Maximum resident sessions; accessing a new user past capacity
-        evicts the least-recently-used one.
+        Maximum resident sessions, in ``[1, MAX_CAPACITY]``; accessing
+        a new user past capacity evicts the least-recently-used one.
     history_provider:
         The :class:`~repro.store.base.HistoryStore` holding every
         user's history (``history_store``). ``None`` means an empty
@@ -308,17 +323,15 @@ class SessionStore:
         self,
         window_size: int,
         min_gap: int,
-        capacity: int = 1024,
+        capacity: int = DEFAULT_CAPACITY,
         history_provider: Optional[
             Union[HistoryStore, HistoryProvider]
         ] = None,
         event_source: Optional[Callable[[int, int], Iterable[int]]] = None,
     ) -> None:
-        if capacity < 1:
-            raise ServingError(f"capacity must be >= 1, got {capacity}")
         self.window_size = window_size
         self.min_gap = min_gap
-        self.capacity = capacity
+        self.capacity = check_capacity(capacity)
         if history_provider is None:
             history_provider = ArenaHistoryStore.from_histories([])
         elif not isinstance(history_provider, HistoryStore):

@@ -48,6 +48,23 @@ class TestReadEvents:
         path = _write(tmp_path / "log.tsv", "user\titem\tts\nu\ti\t1\n")
         assert len(list(read_events(path, has_header=True))) == 1
 
+    @pytest.mark.parametrize(
+        "lead", ["\n", "\r\n\n", "\t\t\n", "\n\t\n\r\n"]
+    )
+    def test_header_is_the_first_non_blank_record(self, tmp_path, lead):
+        text = lead + "user\titem\tts\nu\ti\t1\n\nv\tj\t2\n"
+        path = _write(tmp_path / "log.tsv", text)
+        events = list(read_events(path, has_header=True))
+        assert [(e.user, e.item, e.timestamp) for e in events] == [
+            ("u", "i", 1.0), ("v", "j", 2.0),
+        ]
+        for chunk in (1, 4, 64):
+            with mock.patch.object(loaders, "_CHUNK_CHARS", chunk):
+                with _row_path_forbidden():
+                    loaded = load_event_log(path, has_header=True)
+            assert [list(s) for s in loaded] == [[0], [1]]
+            assert list(loaded.user_vocab) == ["u", "v"]
+
     def test_too_few_columns(self, tmp_path):
         path = _write(tmp_path / "log.tsv", "u\ti\n")
         with pytest.raises(DataError, match="expected at least 3"):
@@ -342,6 +359,8 @@ def _logs(draw):
     has_header = draw(st.booleans())
     if has_header:
         lines.insert(0, delimiter.join(["user", "item", "timestamp"]))
+        # Blank lines may precede the header.
+        lines[:0] = [""] * draw(st.integers(min_value=0, max_value=2))
     ending = draw(st.sampled_from(["\n", "\r\n"]))
     text = ending.join(lines) + draw(st.sampled_from(["", ending]))
     return text, delimiter, has_header
@@ -388,6 +407,8 @@ class TestColumnarLoaderMatchesReference:
             "u\ti\t1\t\nv\tj\t2\t50\n",
             "1\t\t1\n2\t2\t2\n",
             "\t\t\nu\ti\t1\n",
+            "\nuser\titem\tts\nu\ti\t1\n",
+            "\r\n\t\t\r\nuser\titem\tts\r\nu\ti\t1\r\n",
             "u\ti\t1\ru\tj\t2\n",
             "u\ti\t1\r\r\n",
             'u\t"i\tj"\t1\n',

@@ -3,7 +3,8 @@
 These guard the reproduction contract: every registered paper artifact
 must be documented in DESIGN.md and EXPERIMENTS.md and have a benchmark
 that regenerates it; every public module must carry a docstring; and
-DESIGN.md's knob table lists exactly the registered knobs.
+DESIGN.md's knob table lists exactly the knob flags, each with its
+consumer's default and range.
 """
 
 import importlib
@@ -13,8 +14,12 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.cli import build_parser as build_experiments_parser
 from repro.experiments.registry import available_experiments
-from repro.tuning.defaults import KNOBS
+from repro.models.base import MAX_FIT_WORKERS
+from repro.serving.cli import KNOB_ARGS
+from repro.serving.service import KNOB_RANGES, ONLINE_MODES, ServiceConfig
+from repro.serving.state import DEFAULT_CAPACITY, MAX_CAPACITY
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -71,30 +76,43 @@ class TestDocstrings:
 
 
 def _design_knob_rows():
-    """``(subsystem, knob)`` pairs the DESIGN.md knob table declares.
+    """``flag -> (default, range)`` as DESIGN.md's §13 table lists them.
 
-    Rows look like ``| `name` | serving, cluster | ... |``; the table is
-    the one under the "Knob registry" heading of §13.
+    Rows look like ``| `--flag` | `default` | `range` | consumer | ... |``.
     """
     text = (REPO_ROOT / "DESIGN.md").read_text()
-    section = text.split("### Knob registry", 1)[1].split("\n#", 1)[0]
-    pairs = set()
+    section = text.split("## 13. System knobs", 1)[1].split("\n## ", 1)[0]
+    rows = {}
     for line in section.splitlines():
-        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
-        if len(cells) < 2 or not cells[0].startswith("`"):
-            continue
-        for subsystem in cells[1].split(","):
-            pairs.add((subsystem.strip(), cells[0].strip("`")))
-    return pairs
+        if line.startswith("| `--"):
+            cells = [cell.strip().strip("`") for cell in line.split("|")[1:4]]
+            rows[cells[0]] = (cells[1], cells[2])
+    return rows
+
+
+def _consumer_knob_rows():
+    """The same table, read from the classes that consume each knob."""
+    rows = {}
+    ranges = dict(KNOB_RANGES, capacity=(1, MAX_CAPACITY))
+    for name in KNOB_ARGS:
+        if name == "capacity":
+            default = DEFAULT_CAPACITY
+        else:
+            default = getattr(ServiceConfig, name)
+        if name == "online":
+            span = ", ".join(ONLINE_MODES)
+        else:
+            span = "[{}, {}]".format(*ranges[name])
+        rows["--" + name.replace("_", "-")] = (str(default), span)
+    args = build_experiments_parser().parse_args(["run", "fig5"])
+    rows["--fit-workers"] = (str(args.fit_workers), f"[1, {MAX_FIT_WORKERS}]")
+    return rows
 
 
 class TestKnobTable:
     def test_design_table_matches_the_registry(self):
-        registered = {
-            (subsystem, name)
-            for subsystem, knobs in KNOBS.items()
-            for name in knobs
-        }
         documented = _design_knob_rows()
-        assert registered - documented == set(), "knobs missing from DESIGN.md"
-        assert documented - registered == set(), "DESIGN.md rows name no knob"
+        expected = _consumer_knob_rows()
+        assert set(documented) == set(expected), "DESIGN.md §13 flags differ"
+        for flag, row in expected.items():
+            assert documented[flag] == row, flag

@@ -2,7 +2,7 @@
 
 import logging
 
-from repro.logging_utils import enable_console_logging, get_logger, log_duration
+from repro.logging_utils import enable_console_logging, get_logger
 
 
 class TestGetLogger:
@@ -28,21 +28,3 @@ class TestEnableConsoleLogging:
         assert logger.level == logging.WARNING
         enable_console_logging(logging.INFO)  # restore
 
-
-class TestLogDuration:
-    def test_logs_at_debug(self, caplog):
-        logger = get_logger("test_timing")
-        with caplog.at_level(logging.DEBUG, logger="repro.test_timing"):
-            with log_duration(logger, "unit of work"):
-                pass
-        assert any("unit of work" in record.message for record in caplog.records)
-
-    def test_logs_even_on_exception(self, caplog):
-        logger = get_logger("test_timing")
-        with caplog.at_level(logging.DEBUG, logger="repro.test_timing"):
-            try:
-                with log_duration(logger, "failing work"):
-                    raise RuntimeError("boom")
-            except RuntimeError:
-                pass
-        assert any("failing work" in record.message for record in caplog.records)

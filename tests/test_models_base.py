@@ -7,7 +7,7 @@ from scoring_oracles import score_with_exp
 
 from repro.config import WindowConfig
 from repro.data.sequence import ConsumptionSequence
-from repro.exceptions import EvaluationError, NotFittedError
+from repro.exceptions import EvaluationError, ModelError, NotFittedError
 from repro.models.base import Recommender
 from repro.models.pop import PopRecommender
 from repro.models.random_rec import RandomRecommender
@@ -66,6 +66,23 @@ class TestRecommenderBase:
         model = ConstantScorer().fit(tiny_split)
         with pytest.raises(EvaluationError, match="k must be positive"):
             model.recommend(tiny_split.full_sequence(0), [1], 3, 0)
+
+    def test_fit_workers_defaults_to_one_and_takes_the_callers(self, tiny_split):
+        assert ConstantScorer().fit(tiny_split)._fit_workers == 1
+        model = ConstantScorer().fit(tiny_split, fit_workers=3)
+        assert model._fit_workers == 3
+
+    @pytest.mark.parametrize("fit_workers", [1, 256])
+    def test_fit_workers_bounds_accepted(self, tiny_split, fit_workers):
+        model = ConstantScorer().fit(tiny_split, fit_workers=fit_workers)
+        assert model.is_fitted
+
+    @pytest.mark.parametrize("fit_workers", [0, 257])
+    def test_fit_workers_out_of_range_rejected(self, tiny_split, fit_workers):
+        model = ConstantScorer()
+        with pytest.raises(ModelError, match="^fit_workers must be in"):
+            model.fit(tiny_split, fit_workers=fit_workers)
+        assert not model.is_fitted
 
     def test_tie_break_is_candidate_order(self, tiny_split):
         class AllEqual(ConstantScorer):

@@ -19,10 +19,9 @@ PACKAGE = ROOT / "src" / "repro"
 IMPORTER_DIRS = ("src", "benchmarks", "perfbench", "examples")
 
 #: Known orphans awaiting a decision, not an exemption: ROADMAP item 2
-#: plans to wire both into the Table 3 / Table 5 benches.
+#: plans to wire it into the Table 3 bench.
 ALLOWED_ORPHANS = {
     "repro.evaluation.significance",
-    "repro.evaluation.calibration",
 }
 
 

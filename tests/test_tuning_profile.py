@@ -1,131 +1,128 @@
-"""The knob registry: ranges, precedence and logged provenance.
+"""System knobs: defaults, ranges, precedence and logged provenance.
 
-Covers the startup contract of every serving/cluster/training knob:
-
-* the registry rejects out-of-range / wrongly-typed knob values with a
-  typed :class:`~repro.exceptions.TuningError` naming the offender;
-* precedence is CLI > built-in default **for every registered knob of
-  every subsystem**, exercised knob-by-knob;
-* the provenance line names every knob with its source.
+Each serve/cluster knob's default and range live in the class that
+reads it (see ``knob_cases``). Here, for every knob of both
+subsystems: its consumer accepts its default and an alternative value
+and rejects one out of range; a given flag beats the default
+(``(cli)``) and an unset one falls through to it (``(default)``); and
+the startup line :func:`~repro.serving.cli.startup_knobs` prints names
+every knob with its source.
 """
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.exceptions import TuningError
-from repro.tuning.defaults import (
-    KNOBS,
-    SUBSYSTEMS,
-    Knob,
-    defaults_for,
-    describe,
-    knob,
-    knobs_for,
-    resolve,
-    values_of,
+from knob_cases import build_consumer, consumer_default, flag
+
+from repro.exceptions import ServingError
+from repro.serving.cli import (
+    KNOB_ARGS,
+    build_parser,
+    service_config,
+    startup_knobs,
 )
 
+SUBSYSTEMS = {"serving": "serve", "cluster": "cluster"}
+
 ALL_KNOBS = [
-    (subsystem, name)
-    for subsystem in SUBSYSTEMS
-    for name in sorted(KNOBS[subsystem])
+    (subsystem, name) for subsystem in SUBSYSTEMS for name in sorted(KNOB_ARGS)
 ]
 
+#: A valid value of each knob other than its default.
+ALTERNATIVES = {
+    "check_interval": 4,
+    "max_inflight_rows": 512,
+    "capacity": 16,
+    "online": "isgd",
+    "online_lr": 0.1,
+    "online_batch": 8,
+}
 
-def _alternative(entry: Knob) -> object:
-    """A value of ``entry``'s type and range other than its default."""
-    if entry.choices is not None:
-        return next(value for value in entry.choices if value != entry.default)
-    if entry.kind is int:
-        up, down = int(entry.default) + 1, int(entry.default) - 1
-    else:
-        up, down = float(entry.default) + 1.0, float(entry.default) / 2.0
-    return up if entry.hi is None or up <= entry.hi else down
+
+def resolved_knobs(capsys, subsystem: str, argv: list) -> dict:
+    """``{knob: "value(source)"}`` from the startup line of ``argv``."""
+    args = build_parser().parse_args([SUBSYSTEMS[subsystem], *argv])
+    startup_knobs(args, subsystem)
+    prefix = f"resolved {subsystem} knobs: "
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith(prefix)
+    return dict(entry.split("=", 1) for entry in line[len(prefix):].split())
 
 
 class TestRegistry:
-    def test_every_subsystem_has_knobs(self) -> None:
-        for subsystem in SUBSYSTEMS:
-            assert knobs_for(subsystem)
-
-    def test_cluster_knobs_equal_serving_knobs(self) -> None:
+    def test_cluster_knobs_equal_serving_knobs(self, capsys) -> None:
         # Every shard runs the single-node scoring loop.
-        assert set(knobs_for("cluster")) == set(knobs_for("serving"))
-        assert len(knobs_for("serving")) == 6
+        serving = resolved_knobs(capsys, "serving", [])
+        cluster = resolved_knobs(capsys, "cluster", [])
+        assert serving == cluster
+        assert set(serving) == set(KNOB_ARGS)
+        assert len(serving) == 6
 
     def test_defaults_validate(self) -> None:
-        for subsystem, name in ALL_KNOBS:
-            entry = knob(subsystem, name)
-            assert entry.validate(entry.default) == entry.default
+        for name in KNOB_ARGS:
+            build_consumer(name, consumer_default(name))
 
     def test_alternative_is_valid_and_differs(self) -> None:
-        for subsystem, name in ALL_KNOBS:
-            entry = knob(subsystem, name)
-            alternative = _alternative(entry)
-            assert alternative != entry.default
-            assert entry.validate(alternative) == alternative
+        assert set(ALTERNATIVES) == set(KNOB_ARGS)
+        for name, alternative in ALTERNATIVES.items():
+            assert alternative != consumer_default(name)
+            build_consumer(name, alternative)
 
     def test_out_of_range_rejected(self) -> None:
-        with pytest.raises(TuningError, match="check_interval"):
-            knob("serving", "check_interval").validate(0)
-        with pytest.raises(TuningError, match="online_lr"):
-            knob("serving", "online_lr").validate(0.0)
-        with pytest.raises(TuningError, match="online"):
-            knob("serving", "online").validate("warp")
-        with pytest.raises(TuningError, match="expects int"):
-            knob("serving", "check_interval").validate(2.5)
-        with pytest.raises(TuningError, match="expects int"):
-            knob("serving", "check_interval").validate(True)
-
-    def test_unknown_names_rejected(self) -> None:
-        with pytest.raises(TuningError, match="unknown subsystem"):
-            knobs_for("networking")
-        with pytest.raises(TuningError, match="unknown knob"):
-            knob("serving", "turbo")
+        for name, value in [
+            ("check_interval", 0),
+            ("online_lr", 0.0),
+            ("online_lr", math.nan),
+            ("online", "warp"),
+            ("capacity", -1),
+        ]:
+            with pytest.raises(ServingError, match=f"^{name} must be"):
+                build_consumer(name, value)
 
 
 class TestPrecedence:
     @pytest.mark.parametrize(("subsystem", "name"), ALL_KNOBS)
-    def test_cli_over_default_per_knob(self, subsystem: str, name: str) -> None:
-        entry = knob(subsystem, name)
+    def test_cli_over_default_per_knob(
+        self, capsys, subsystem: str, name: str
+    ) -> None:
+        default = consumer_default(name)
         # Default layer: nothing set.
-        resolved = resolve(subsystem)
-        assert resolved[name].value == entry.default
-        assert resolved[name].source == "default"
-        # CLI layer beats the default, and only for the knob it names.
-        cli_value = _alternative(entry)
-        resolved = resolve(subsystem, cli={name: cli_value})
-        assert resolved[name].value == cli_value
-        assert resolved[name].source == "cli"
-        for other, other_knob in resolved.items():
-            if other != name:
-                assert other_knob.source == "default"
+        entries = resolved_knobs(capsys, subsystem, [])
+        assert entries[name] == f"{default}(default)"
+        # The flag beats the default, and only for the knob it names.
+        value = ALTERNATIVES[name]
+        entries = resolved_knobs(capsys, subsystem, [flag(name), str(value)])
+        assert entries.pop(name) == f"{value}(cli)"
+        for other, entry in entries.items():
+            assert entry == f"{consumer_default(other)}(default)"
         # A flag that repeats the default still counts as the CLI's.
-        resolved = resolve(subsystem, cli={name: entry.default})
-        assert resolved[name].value == entry.default
-        assert resolved[name].source == "cli"
+        entries = resolved_knobs(capsys, subsystem, [flag(name), str(default)])
+        assert entries[name] == f"{default}(cli)"
 
-    def test_none_cli_entry_falls_through(self) -> None:
-        resolved = resolve("serving", cli={"check_interval": None})
-        assert resolved["check_interval"].value == 16
-        assert resolved["check_interval"].source == "default"
+    def test_none_cli_entry_falls_through(self, capsys) -> None:
+        args = build_parser().parse_args(["serve"])
+        args.check_interval = None
+        config, _ = startup_knobs(args, "serving")
+        assert config.check_interval == 16
+        assert service_config(args).check_interval == 16
+        assert "check_interval=16(default)" in capsys.readouterr().out
 
-    def test_unknown_layer_knob_rejected(self) -> None:
-        with pytest.raises(TuningError, match="cli"):
-            resolve("serving", cli={"bogus": 1})
+    def test_unknown_layer_knob_rejected(self, capsys) -> None:
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--bogus", "1"])
+        assert "--bogus" in capsys.readouterr().err
 
     def test_bad_layer_value_rejected(self) -> None:
-        with pytest.raises(TuningError, match="check_interval"):
-            resolve("serving", cli={"check_interval": -5})
+        args = build_parser().parse_args(["serve", "--check-interval", "-5"])
+        with pytest.raises(ServingError, match="check_interval"):
+            startup_knobs(args, "serving")
 
-    def test_describe_names_every_knob_with_source(self) -> None:
-        resolved = resolve("serving", cli={"check_interval": 4})
-        line = describe(resolved)
-        assert "check_interval=4(cli)" in line
-        for name in knobs_for("serving"):
-            assert f"{name}=" in line
-
-    def test_values_of_flattens(self) -> None:
-        values = values_of(resolve("training"))
-        assert values == defaults_for("training")
+    def test_describe_names_every_knob_with_source(self, capsys) -> None:
+        entries = resolved_knobs(capsys, "serving", ["--check-interval", "4"])
+        assert entries.pop("check_interval") == "4(cli)"
+        assert set(entries) == set(KNOB_ARGS) - {"check_interval"}
+        for entry in entries.values():
+            assert entry.endswith("(default)")
