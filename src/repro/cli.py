@@ -43,9 +43,7 @@ from repro.experiments.registry import (
     available_experiments,
     run_experiment,
 )
-from repro.exceptions import ModelError
 from repro.logging_utils import enable_console_logging, get_logger
-from repro.models.base import check_fit_workers
 from repro.resilience.journal import RunJournal
 from repro.serving.cli import (
     add_cluster_arguments,
@@ -149,16 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_parser.add_argument(
-        "--fit-workers",
-        type=int,
-        default=1,
-        help=(
-            "training worker processes for the parallel feature-cache "
-            "build (default: 1); learned parameters are bit-identical "
-            "at any worker count"
-        ),
-    )
-    run_parser.add_argument(
         "--verbose", action="store_true", help="log progress to stderr"
     )
     return parser
@@ -206,7 +194,6 @@ def _run(
     retries: int = 0,
     retry_backoff: float = 0.0,
     workers: int = 1,
-    fit_workers: int = 1,
 ) -> Tuple[str, int]:
     """Run experiments; returns (rendered text, skipped count).
 
@@ -219,10 +206,8 @@ def _run(
     from repro.experiments.storage import save_result
 
     scale = scale_by_name(scale_name)
-    if workers != 1 or fit_workers != 1:
-        scale = dataclasses.replace(
-            scale, workers=workers, fit_workers=fit_workers
-        )
+    if workers != 1:
+        scale = dataclasses.replace(scale, workers=workers)
     blocks: List[str] = []
     n_skipped = 0
     total_elapsed = 0.0
@@ -255,8 +240,7 @@ def _run(
     if n_timed:
         blocks.append(
             f"[timing: {n_timed} experiment(s) in {total_elapsed:.1f}s "
-            f"(scale {scale.name}, workers {scale.workers}, "
-            f"fit-workers {scale.fit_workers})]"
+            f"(scale {scale.name}, workers {scale.workers})]"
         )
     text = "\n\n".join(blocks)
     if output is not None:
@@ -291,11 +275,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"--retries must be >= 0, got {args.retries}")
     if args.workers < 1:
         parser.error(f"--workers must be >= 1, got {args.workers}")
-    try:
-        check_fit_workers(args.fit_workers)
-    except ModelError as exc:
-        parser.error(f"--fit-workers: {exc}")
-
     if args.verbose:
         enable_console_logging()
     experiment_ids = (
@@ -314,7 +293,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         retries=args.retries,
         retry_backoff=args.retry_backoff,
         workers=args.workers,
-        fit_workers=args.fit_workers,
     )
     print(text)
     if journal is not None:

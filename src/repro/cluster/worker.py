@@ -14,8 +14,12 @@ Lifecycle protocol with the supervisor:
 * the worker binds an ephemeral port and publishes
   ``{"pid", "port", "url"}`` to its endpoint file via an atomic write —
   the supervisor polls that file to learn where the shard came up;
-* ``SIGTERM`` is a *graceful* stop: the HTTP listener drains, the
-  service closes, and the event log is sealed (drain path);
+* ``SIGTERM`` (or ``SIGINT``) is a *graceful* stop: the HTTP listener
+  drains, the service closes, and the event log is sealed (drain
+  path). Both signals are blocked for the whole process and taken
+  synchronously, so a second one — ``SIGINT`` to the process group
+  followed by the supervisor's ``SIGTERM`` — cannot interrupt a close
+  already under way;
 * ``SIGKILL`` is a *crash*: nothing is sealed and the log may carry a
   torn tail — recovery on the next spawn is WAL replay, exactly like
   the single-node crash tests.
@@ -108,14 +112,12 @@ def run_worker(
     config: ServiceConfig,
 ) -> None:
     """Child-process main: build the shard stack and serve until signalled."""
-    # SIGTERM → the graceful-shutdown path serve_forever already has for
-    # KeyboardInterrupt: stop the listener, close the service, seal the
-    # log. (Raising from the handler is safe: the serve loop is a pure
-    # poll loop on the main thread.)
-    def _terminate(signum: int, frame: object) -> None:
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGTERM, _terminate)
+    # Blocked before any thread starts, so every thread inherits the
+    # mask and the signals stay pending until ``sigwait`` takes the
+    # first one on this thread. Nothing can then raise inside
+    # ``server.close()``: the online flush and the log seal always run.
+    stop_signals = {signal.SIGINT, signal.SIGTERM}
+    signal.pthread_sigmask(signal.SIG_BLOCK, stop_signals)
     event_log = EventLog.open(spec.log_path, fsync_policy=spec.fsync_policy)
     service = service_for_split(
         model,
@@ -135,5 +137,13 @@ def run_worker(
             "%s: recovered %d event(s) across %d user(s) from %s",
             spec.name, len(event_log), len(event_log.users()), spec.log_path,
         )
+    server.start()
     logger.info("%s: serving on %s", spec.name, server.url)
-    server.serve_forever()
+    try:
+        received = signal.sigwait(stop_signals)
+        logger.info(
+            "%s: %s received; shutting down",
+            spec.name, signal.Signals(received).name,
+        )
+    finally:
+        server.close()

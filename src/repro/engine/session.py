@@ -183,29 +183,6 @@ class ScoringSession:
             last_pos[item] = position
         self._last_pos = last_pos
 
-    @classmethod
-    def from_store(
-        cls,
-        store,
-        user: int,
-        window_size: int,
-        min_gap: int = 0,
-        start: int = 0,
-    ) -> "ScoringSession":
-        """A session over a user's history as held by a ``HistoryStore``.
-
-        The walkable-history counterpart of
-        :meth:`repro.store.base.HistoryStore.session` (which gives the
-        *live*, appendable session): offline consumers — the evaluation
-        protocol, feature builders — walk a fixed snapshot forward, so
-        they take the store's (zero-copy) view and drive it exactly like
-        any other sequence.
-        """
-        view = store.slice(user)
-        if view is None:
-            view = ConsumptionSequence(user, [])
-        return cls(view, window_size, min_gap=min_gap, start=start)
-
     # ------------------------------------------------------------------
     # Walking
     # ------------------------------------------------------------------

@@ -68,11 +68,6 @@ class ExperimentScale:
     workers:
         Evaluation worker processes; results are bit-identical at any
         value (see :func:`repro.evaluation.protocol.evaluate_recommender`).
-    fit_workers:
-        Training worker processes for the parallel feature-cache build
-        (see :meth:`repro.features.cache.QuadrupleFeatureCache.build`);
-        also bit-identical at any value. :meth:`Recommender.fit
-        <repro.models.base.Recommender.fit>` checks its range.
     """
 
     name: str
@@ -81,7 +76,6 @@ class ExperimentScale:
     max_epochs: int
     seed: int = 7
     workers: int = 1
-    fit_workers: int = 1
 
     def __post_init__(self) -> None:
         if self.user_factor <= 0 or self.length_factor <= 0:
@@ -200,11 +194,10 @@ def fit_and_evaluate(
     eval_config: Optional[EvaluationConfig] = None,
     window: Optional[WindowConfig] = None,
     workers: int = 1,
-    fit_workers: int = 1,
 ) -> AccuracyResult:
     """Fit a model on the split and run the accuracy protocol."""
     eval_config = eval_config or EvaluationConfig()
-    model.fit(split, window or eval_config.window, fit_workers=fit_workers)
+    model.fit(split, window or eval_config.window)
     return evaluate_recommender(model, split, eval_config, workers=workers)
 
 
@@ -229,7 +222,7 @@ def accuracy_run(
         model = make_model(name, dataset_key, scale)
         logger.info("fitting %s on %s (%s scale)", name, dataset_key, scale.name)
         results[name] = fit_and_evaluate(
-            model, split, workers=scale.workers, fit_workers=scale.fit_workers
+            model, split, workers=scale.workers
         )
     _ACCURACY_CACHE[cache_key] = results
     return results

@@ -32,7 +32,7 @@ def run(scale: ExperimentScale) -> ExperimentResult:
         split = build_split(dataset_key, scale)
         model = TSPPRRecommender(default_config(dataset_key, scale))
         fit_start = time.perf_counter()
-        model.fit(split, fit_workers=scale.fit_workers)
+        model.fit(split)
         fit_elapsed = time.perf_counter() - fit_start
         assert model.sgd_result_ is not None
         history = model.sgd_result_.margin_history

@@ -155,16 +155,12 @@ def run(scale: ExperimentScale) -> ExperimentResult:
     stream = interleaved_test_stream(split)
     config = default_config("gowalla", scale)
 
-    frozen = TSPPRRecommender(config).fit(
-        split, fit_workers=scale.fit_workers
-    )
+    frozen = TSPPRRecommender(config).fit(split)
     frozen_hits = prequential_walk(frozen, split, stream)
 
     # The online arm starts from a bit-identical fit (same config, same
     # seed, deterministic trainer) and diverges only through updates.
-    online_model = TSPPRRecommender(config).fit(
-        split, fit_workers=scale.fit_workers
-    )
+    online_model = TSPPRRecommender(config).fit(split)
     trainer = OnlineTrainer(
         online_model, learning_rate=ONLINE_LR, batch_window=ONLINE_BATCH
     )

@@ -7,31 +7,33 @@ stores, for each quadruple ``(u, v_i, v_j, t)``, the pair
 ``(f_uv_i t, f_uv_j t)`` in two dense float arrays so the SGD loop does
 pure array indexing.
 
-:meth:`QuadrupleFeatureCache.build` walks each user's anchors with one
-incremental :class:`~repro.engine.session.ScoringSession` and fills the
-rows through :class:`~repro.engine.features.SessionFeatureMatrix`'s
-per-feature column kernels — the same bit-exact fast paths the scoring
-engine uses — instead of rebuilding a ``window_before`` view per anchor.
-With ``workers > 1`` users are sharded across a fork-based process pool;
-each row depends only on its own user's history, and every worker writes
-rows back at their global indices, so the assembled arrays are
-bit-identical at any worker count (mirroring
-:func:`repro.evaluation.protocol.evaluate_recommender`).
-The seed's per-anchor rebuild is kept as a test oracle
-(``tests/training_oracles.py``); ``tests/test_features_cache.py`` pins
-that both produce identical arrays.
+:meth:`QuadrupleFeatureCache.build` fills whole columns, in fixed-size
+row chunks: an :class:`~repro.windows.occurrences.OccurrenceIndex` gives
+every row's last position before ``t`` and its window count. Quality
+and ratio are gathers, hyperbolic recency ``1/(t - last)`` and
+familiarity ``count / min(t, |W|)`` — the extractors' own single
+IEEE-754 operations. Exponential recency keeps scalar ``math.exp``
+(``np.exp`` differs by ulps; see :mod:`repro.engine.features`), and an
+extractor without a column form is called per row. The seed's
+per-anchor extraction is the test oracle in
+``tests/training_oracles.py``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+import math
+from typing import TYPE_CHECKING, List
 
 import numpy as np
 
 from repro.data.split import SplitDataset
-from repro.exceptions import SamplingError
+from repro.exceptions import DataError, FeatureError, SamplingError
+from repro.features.base import FeatureExtractor
+from repro.features.dynamic import DynamicFamiliarityFeature, RecencyFeature
+from repro.features.static import ItemQualityFeature, ReconsumptionRatioFeature
 from repro.features.vectorizer import BehavioralFeatureModel
+from repro.windows.occurrences import OccurrenceIndex
+from repro.windows.window import window_before
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sampling.quadruples import QuadrupleSet
@@ -81,172 +83,99 @@ class QuadrupleFeatureCache:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @staticmethod
-    def _fill_user_rows(
-        quadruples: "QuadrupleSet",
-        split: SplitDataset,
-        feature_model: BehavioralFeatureModel,
-        user: int,
-        rows: np.ndarray,
-        positive: np.ndarray,
-        negative: np.ndarray,
-    ) -> None:
-        """Fill one user's cache rows via a single ordered session walk.
-
-        ``rows`` are the user's quadruple indices; anchors are visited
-        in ascending ``t`` (a stable sort keeps sampling order within an
-        anchor) so the forward-only session advances monotonically.
-        """
-        # Imported here: repro.engine.features itself imports from the
-        # repro.features package, so a module-level import would cycle.
-        from repro.engine.features import SessionFeatureMatrix
-        from repro.engine.session import ScoringSession
-
-        sequence = split.full_sequence(user)
-        times = quadruples.times[rows]
-        order = np.argsort(times, kind="stable")
-        ordered_rows = rows[order]
-        ordered_times = times[order].tolist()
-        pos_items = quadruples.positives[ordered_rows].tolist()
-        neg_items = quadruples.negatives[ordered_rows].tolist()
-        row_list = ordered_rows.tolist()
-
-        session = ScoringSession(
-            sequence,
-            feature_model.window_config.window_size,
-            start=ordered_times[0],
-        )
-        matrix = SessionFeatureMatrix(feature_model, session)
-
-        n = len(row_list)
-        cursor = 0
-        while cursor < n:
-            t = ordered_times[cursor]
-            end = cursor
-            while end < n and ordered_times[end] == t:
-                end += 1
-            session.advance_to(t)
-            # One matrix over the anchor's distinct items; a positive
-            # recurs across its S negatives, so dedup before extraction.
-            slot_of: Dict[int, int] = {}
-            items: List[int] = []
-            for k in range(cursor, end):
-                for item in (pos_items[k], neg_items[k]):
-                    if item not in slot_of:
-                        slot_of[item] = len(items)
-                        items.append(item)
-            values = matrix.matrix(np.asarray(items, dtype=np.int64))
-            # Scatter whole anchors at once: one fancy assignment per
-            # role instead of two row copies per quadruple.
-            anchor_rows = row_list[cursor:end]
-            positive[anchor_rows] = values[
-                [slot_of[pos_items[k]] for k in range(cursor, end)]
-            ]
-            negative[anchor_rows] = values[
-                [slot_of[neg_items[k]] for k in range(cursor, end)]
-            ]
-            cursor = end
-
     @classmethod
     def build(
         cls,
         quadruples: "QuadrupleSet",
         split: SplitDataset,
         feature_model: BehavioralFeatureModel,
-        workers: int = 1,
     ) -> "QuadrupleFeatureCache":
-        """Extract features for every quadruple, one session walk per user.
+        """Extract features for every quadruple as column passes.
 
-        Parameters
-        ----------
-        workers:
-            Shard users across this many forked worker processes. Each
-            worker fills complete rows addressed by global quadruple
-            index, so the assembled arrays are bit-identical at any
-            worker count. Falls back to sequential when ``workers <= 1``
-            or the platform lacks ``fork``.
+        Raises :class:`~repro.exceptions.DataError` for a user or time
+        outside the split, and :class:`~repro.exceptions.FeatureError`
+        when a table feature meets an item outside its vocabulary.
         """
-        if workers < 1:
-            raise SamplingError(f"workers must be positive, got {workers}")
-        n = len(quadruples)
-        positive = np.empty((n, feature_model.n_features), dtype=np.float64)
-        negative = np.empty((n, feature_model.n_features), dtype=np.float64)
-        users = sorted(quadruples.per_user)
-
-        n_workers = min(workers, max(len(users), 1))
-        use_parallel = (
-            n_workers > 1
-            and "fork" in multiprocessing.get_all_start_methods()
+        window_size = feature_model.window_config.window_size
+        extractors = [
+            feature_model.extractor(name) for name in feature_model.feature_names
+        ]
+        users, times = quadruples.users, quadruples.times
+        positive = np.empty((len(quadruples), len(extractors)), dtype=np.float64)
+        negative = np.empty_like(positive)
+        sequences = [split.full_sequence(user).items for user in range(split.n_users)]
+        lengths = np.array([items.size for items in sequences], dtype=np.int64)
+        if len(quadruples) and (
+            users.min() < 0 or users.max() >= split.n_users
+            or times.min() < 0 or (times > lengths[users]).any()
+        ):
+            raise DataError("quadruples name a user or time outside the split")
+        # The index needs each user's prefix only up to its latest anchor.
+        limits = np.zeros(split.n_users, dtype=np.int64)
+        np.maximum.at(limits, users, times)
+        index = OccurrenceIndex(
+            [items[:limit] for items, limit in zip(sequences, limits.tolist())]
         )
-        if use_parallel:
-            _build_parallel(
-                quadruples, split, feature_model, users, positive, negative,
-                n_workers,
-            )
-        else:
-            for user in users:
-                cls._fill_user_rows(
-                    quadruples, split, feature_model, user,
-                    quadruples.per_user[user], positive, negative,
+        for start in range(0, len(quadruples), _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            for items, out in (
+                (quadruples.positives[rows], positive[rows]),
+                (quadruples.negatives[rows], negative[rows]),
+            ):
+                _fill_rows(
+                    index, extractors, split, window_size,
+                    users[rows], items, times[rows], out,
                 )
         return cls(positive, negative)
 
 
-# ----------------------------------------------------------------------
-# Parallel sharding
-# ----------------------------------------------------------------------
-# Workers are forked, so the quadruples/split/feature model are inherited
-# copy-on-write through this module-level slot instead of being pickled
-# per task (the same pattern as repro.evaluation.protocol).
-_PARALLEL_STATE: Optional[tuple] = None
+#: Rows filled per chunk: bounds the per-row lookup temporaries.
+_CHUNK_ROWS = 1 << 15
 
 
-def _worker_rows(user: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    assert _PARALLEL_STATE is not None
-    quadruples, split, feature_model = _PARALLEL_STATE
-    rows = quadruples.per_user[user]
-    positive = np.empty((rows.size, feature_model.n_features), dtype=np.float64)
-    negative = np.empty_like(positive)
-    # Fill a compact per-user block; the parent scatters it back to the
-    # rows' global indices, so assembly order cannot affect the result.
-    local = np.arange(rows.size, dtype=np.int64)
-    shadow = _UserSlice(quadruples, rows)
-    QuadrupleFeatureCache._fill_user_rows(
-        shadow, split, feature_model, user, local, positive, negative
-    )
-    return rows, positive, negative
-
-
-class _UserSlice:
-    """Row-remapped view of one user's quadruples for worker-local fills."""
-
-    __slots__ = ("times", "positives", "negatives")
-
-    def __init__(self, quadruples: "QuadrupleSet", rows: np.ndarray) -> None:
-        self.times = quadruples.times[rows]
-        self.positives = quadruples.positives[rows]
-        self.negatives = quadruples.negatives[rows]
-
-
-def _build_parallel(
-    quadruples: "QuadrupleSet",
+def _fill_rows(
+    index: OccurrenceIndex,
+    extractors: List[FeatureExtractor],
     split: SplitDataset,
-    feature_model: BehavioralFeatureModel,
-    users: List[int],
-    positive: np.ndarray,
-    negative: np.ndarray,
-    n_workers: int,
+    window_size: int,
+    users: np.ndarray,
+    items: np.ndarray,
+    times: np.ndarray,
+    out: np.ndarray,
 ) -> None:
-    global _PARALLEL_STATE
-    context = multiprocessing.get_context("fork")
-    chunksize = max(1, len(users) // (n_workers * 4))
-    _PARALLEL_STATE = (quadruples, split, feature_model)
-    try:
-        with context.Pool(n_workers) as pool:
-            for rows, pos_block, neg_block in pool.map(
-                _worker_rows, users, chunksize=chunksize
+    """Write ``f_{u v t}`` of each row into ``out`` (shape ``(rows, F)``)."""
+    last, count = index.last_and_count(users, items, times, window_size)
+    seen = last >= 0
+    for column, extractor in enumerate(extractors):
+        values = out[:, column]
+        if isinstance(extractor, (ItemQualityFeature, ReconsumptionRatioFeature)):
+            table = extractor.table
+            outside = (items < 0) | (items >= table.size)
+            if outside.any():
+                raise FeatureError(
+                    f"item {int(items[outside][0])} outside fitted "
+                    f"vocabulary of size {table.size}"
+                )
+            values[:] = table[items]
+        elif isinstance(extractor, RecencyFeature):
+            values[:] = 0.0
+            gaps = times[seen] - last[seen]
+            if extractor.kind == "hyperbolic":
+                values[seen] = 1.0 / gaps
+            else:
+                values[seen] = [math.exp(-gap) for gap in gaps.tolist()]
+        elif isinstance(extractor, DynamicFamiliarityFeature):
+            length = np.minimum(times, window_size)
+            values[:] = 0.0
+            filled = length > 0
+            values[filled] = count[filled] / length[filled]
+        else:
+            # No column form: one window view per (user, t) anchor.
+            anchor = None
+            for row, (user, item, t) in enumerate(
+                zip(users.tolist(), items.tolist(), times.tolist())
             ):
-                positive[rows] = pos_block
-                negative[rows] = neg_block
-    finally:
-        _PARALLEL_STATE = None
+                if anchor != (user, t):
+                    anchor, sequence = (user, t), split.full_sequence(user)
+                    window = window_before(sequence, t, window_size)
+                values[row] = extractor.value(sequence, item, t, window)

@@ -1,6 +1,11 @@
 """Static behavioural features: item quality and reconsumption ratio.
 
 Both are per-item lookup tables learned from the training dataset only.
+The reconsumption ratio is two ``np.bincount`` passes over an
+:class:`~repro.windows.occurrences.OccurrenceIndex` — every consumption,
+and those whose previous occurrence lies within the window — instead of
+a per-event walk; the seed's loop is the test oracle
+``reconsumption_ratio_reference`` in ``tests/training_oracles.py``.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from repro.data.dataset import Dataset
 from repro.data.sequence import ConsumptionSequence
 from repro.exceptions import FeatureError, NotFittedError
 from repro.features.base import FeatureExtractor, register_feature
+from repro.windows.occurrences import OccurrenceIndex
 from repro.windows.window import WindowView
 
 
@@ -49,17 +55,11 @@ def compute_reconsumption_ratio(
     (#observations of ``v``). Whether an observation is a repeat uses the
     window only; the Ω gap plays no role in the *feature* definition.
     """
-    repeats = np.zeros(dataset.n_items, dtype=np.int64)
-    totals = np.zeros(dataset.n_items, dtype=np.int64)
-    for sequence in dataset:
-        items = sequence.items
-        if items.size:
-            np.add.at(totals, items, 1)
-        for t in range(1, int(items.size)):
-            item = int(items[t])
-            last = sequence.last_position_before(item, t)
-            if last >= 0 and t - last <= window_size:
-                repeats[item] += 1
+    index = OccurrenceIndex([sequence.items for sequence in dataset])
+    gaps = index.positions - index.prev
+    repeated = (index.prev >= 0) & (gaps <= window_size)
+    totals = np.bincount(index.items, minlength=dataset.n_items)
+    repeats = np.bincount(index.items[repeated], minlength=dataset.n_items)
     ratio = np.zeros(dataset.n_items, dtype=np.float64)
     consumed = totals > 0
     ratio[consumed] = repeats[consumed] / totals[consumed]

@@ -22,6 +22,7 @@ protocol, so runs are reproducible).
 
 from __future__ import annotations
 
+import warnings
 from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
@@ -40,21 +41,11 @@ __all__ = [
     "MAX_FIT_WORKERS",
     "Query",
     "Recommender",
-    "check_fit_workers",
     "rank_top_k",
 ]
 
-#: The most worker processes :meth:`Recommender.fit` accepts.
+#: The largest (deprecated, ignored) ``fit_workers`` :meth:`Recommender.fit` accepts.
 MAX_FIT_WORKERS = 256
-
-
-def check_fit_workers(fit_workers: int) -> int:
-    """``fit_workers`` if it lies in ``[1, MAX_FIT_WORKERS]``, else :class:`ModelError`."""
-    if not 1 <= fit_workers <= MAX_FIT_WORKERS:
-        raise ModelError(
-            f"fit_workers must be in [1, {MAX_FIT_WORKERS}], got {fit_workers}"
-        )
-    return fit_workers
 
 
 def rank_top_k(
@@ -98,7 +89,6 @@ class Recommender(ABC):
         self._window_config: Optional[WindowConfig] = None
         self._checkpoint_manager: Optional[CheckpointManager] = None
         self._fault_injector: Optional[FaultInjector] = None
-        self._fit_workers = 1
 
     # ------------------------------------------------------------------
     # Fitting
@@ -130,17 +120,24 @@ class Recommender(ABC):
             Test hook killing training/persistence at scheduled points
             (see :mod:`repro.resilience.faults`).
         fit_workers:
-            Worker processes for the parallelizable parts of training
-            (currently the feature-cache build). Results are
-            bit-identical at any worker count; models without a
-            feature cache ignore it. ``None`` means 1; a value outside
-            ``[1, MAX_FIT_WORKERS]`` raises
-            :class:`~repro.exceptions.ModelError`.
+            Deprecated and without effect: training is single-process
+            (the feature cache is a column pass, not a worker pool). A
+            value outside ``[1, MAX_FIT_WORKERS]`` still raises
+            :class:`~repro.exceptions.ModelError`, and any value other
+            than 1 emits a :class:`DeprecationWarning`.
         """
         window = window or WindowConfig()
-        self._fit_workers = check_fit_workers(
-            1 if fit_workers is None else fit_workers
-        )
+        fit_workers = 1 if fit_workers is None else fit_workers
+        if not 1 <= fit_workers <= MAX_FIT_WORKERS:
+            raise ModelError(
+                f"fit_workers must be in [1, {MAX_FIT_WORKERS}], got {fit_workers}"
+            )
+        if fit_workers != 1:
+            warnings.warn(
+                "fit_workers has no effect: training runs in one process",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         self._window_config = window
         self._fault_injector = fault_injector
         self._checkpoint_manager = None

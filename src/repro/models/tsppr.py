@@ -107,10 +107,7 @@ class TSPPRRecommender(Recommender):
             )
 
         quadruples = self._sample_quadruples(split, window, rng)
-        cache = QuadrupleFeatureCache.build(
-            quadruples, split, self._feature_model,
-            workers=self._fit_workers,
-        )
+        cache = QuadrupleFeatureCache.build(quadruples, split, self._feature_model)
         self.n_quadruples_ = len(quadruples)
 
         self._initialize_parameters(split.n_users, split.n_items, rng)

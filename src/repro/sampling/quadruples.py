@@ -6,31 +6,38 @@ steps) becomes a positive ``v_i`` at its position ``t``; up to ``S``
 negatives ``v_j`` are drawn uniformly without replacement from the other
 Ω-eligible candidates of the same window.
 
-:func:`sample_quadruples` scans each user's prefix with one incremental
-:class:`~repro.engine.session.ScoringSession` — O(1) window/Ω multiset
-maintenance per position instead of an O(|W|) ``window_before`` rebuild
-plus a ``recent_items`` set per anchor — and assembles the arrays
-through amortized-doubling buffers instead of per-row Python appends.
-The seed's per-position rebuild is kept as a test oracle
-(``tests/training_oracles.py``). Both draw negatives through the exact
-same ``rng.choice`` call sequence (same anchors, same eligible-set
-sizes, same order), so the resulting :class:`QuadrupleSet` is
-bit-identical between them; ``tests/test_sampling.py`` pins that
-equivalence.
+:func:`sample_quadruples` works on whole columns of an
+:class:`~repro.windows.occurrences.OccurrenceIndex` over the training
+prefixes. Position ``t`` is a target when its item's previous
+occurrence lies ``Ω < t - prev <= |W|`` back. Its candidates are the
+items ``x_p`` with ``p`` in ``[t - |W|, t - Ω)`` whose next occurrence
+is at or after ``t`` — each distinct window item once, at its last
+occurrence, and none that recurs within Ω — minus the positive, in
+ascending item order. They are found for fixed-size chunks of targets
+at once, which bounds the temporaries. The one per-anchor step left is
+``rng.choice`` for an anchor with more than ``S`` eligible items, made
+in the seed's order (users ascending, then ``t``), so the draws and the
+resulting :class:`QuadrupleSet` are bit-identical to the seed's
+per-position scan, kept as a test oracle in
+``tests/training_oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.config import WindowConfig
 from repro.data.split import SplitDataset
-from repro.engine.session import ScoringSession
 from repro.exceptions import SamplingError
 from repro.rng import RandomState, ensure_rng
+from repro.windows.occurrences import OccurrenceIndex
+
+#: Window slots examined per chunk of targets: bounds the sampler's
+#: ``(targets, |W| - Ω)`` temporaries to a few hundred kilobytes each.
+_CHUNK_SLOTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -76,43 +83,6 @@ class QuadrupleSet:
         )
 
 
-class _GrowingInt64:
-    """Append-only int64 column with amortized-doubling growth.
-
-    Replaces per-row ``list.append`` in the sampling hot loop: rows
-    arrive in small per-anchor batches and land in a preallocated numpy
-    buffer via one C-level slice assignment per batch.
-    """
-
-    __slots__ = ("_data", "size")
-
-    def __init__(self, capacity: int = 1024) -> None:
-        self._data = np.empty(capacity, dtype=np.int64)
-        self.size = 0
-
-    def _reserve(self, n: int) -> int:
-        end = self.size + n
-        if end > self._data.size:
-            capacity = self._data.size
-            while capacity < end:
-                capacity *= 2
-            grown = np.empty(capacity, dtype=np.int64)
-            grown[: self.size] = self._data[: self.size]
-            self._data = grown
-        return end
-
-    def extend(self, values: List[int]) -> None:
-        end = self._reserve(len(values))
-        self._data[self.size : end] = values
-        self.size = end
-
-    def extend_constant(self, value: int, n: int) -> None:
-        end = self._reserve(n)
-        self._data[self.size : end] = value
-        self.size = end
-
-    def array(self) -> np.ndarray:
-        return self._data[: self.size].copy()
 
 
 def sample_quadruples(
@@ -123,8 +93,8 @@ def sample_quadruples(
 ) -> QuadrupleSet:
     """Pre-sample the training set ``D`` from a split dataset.
 
-    One incremental session walk per user; bit-identical to the seed's
-    per-position scan (see module docstring).
+    Column passes over one occurrence index; bit-identical to the
+    seed's per-position scan (see module docstring).
 
     Parameters
     ----------
@@ -149,66 +119,79 @@ def sample_quadruples(
     if n_negatives <= 0:
         raise SamplingError(f"n_negatives must be positive, got {n_negatives}")
     rng = ensure_rng(random_state)
-
-    users = _GrowingInt64()
-    positives = _GrowingInt64()
-    negatives = _GrowingInt64()
-    times = _GrowingInt64()
-    user_spans: Dict[int, Tuple[int, int]] = {}
+    index = OccurrenceIndex([
+        split.full_sequence(user).items[: split.train_boundary(user)]
+        for user in range(split.n_users)
+    ])
 
     window_size, min_gap = window.window_size, window.min_gap
-    for user in range(split.n_users):
-        sequence = split.full_sequence(user)
-        boundary = split.train_boundary(user)
-        if boundary <= 1:
-            continue
-        user_start = users.size
-        session = ScoringSession(sequence, window_size, min_gap=min_gap, start=1)
-        items_list = sequence.items[:boundary].tolist()
-        for t in range(1, boundary):
-            session.advance_to(t)
-            # Inline ``is_target``: x_t repeats from the window and is
-            # not Ω-recent — the iter_repeat_positions filter.
-            positive_item = items_list[t]
-            last = session.last_position(positive_item)
-            if last < 0:
-                continue
-            gap = t - last
-            if gap <= min_gap or gap > window_size:
-                continue
-            # Ω-filtered window items minus the positive; ``candidates``
-            # is already sorted, so dropping one element keeps the exact
-            # order of the reference's ``sorted(set - set - {v_i})``.
-            eligible = [
-                item for item in session.candidates() if item != positive_item
-            ]
-            if not eligible:
-                continue
-            if len(eligible) <= n_negatives:
-                chosen = eligible
-            else:
-                picks = rng.choice(len(eligible), size=n_negatives, replace=False)
-                chosen = [eligible[int(p)] for p in np.sort(picks)]
-            negatives.extend(chosen)
-            users.extend_constant(user, len(chosen))
-            positives.extend_constant(positive_item, len(chosen))
-            times.extend_constant(t, len(chosen))
-        if users.size > user_start:
-            user_spans[user] = (user_start, users.size)
-
-    if users.size == 0:
+    gaps = index.positions - index.prev
+    targets = np.flatnonzero(
+        (index.prev >= 0) & (gaps > min_gap) & (gaps <= window_size)
+    )
+    # Candidate p = t - d for the window distances d in (Ω, |W|].
+    distances = np.arange(min_gap + 1, window_size + 1, dtype=np.int64)
+    chunk = max(1, _CHUNK_SLOTS // max(distances.size, 1))
+    anchors, negatives = [], []
+    for start in range(0, targets.size, chunk):
+        rows, chosen = _sample_chunk(
+            index, targets[start : start + chunk], distances, n_negatives, rng
+        )
+        anchors.append(rows)
+        negatives.append(chosen)
+    anchor_events = np.concatenate(anchors) if anchors else targets
+    if anchor_events.size == 0:
         raise SamplingError(
             "no training quadruples could be sampled; the training data "
             "contains no qualifying repeat consumption with alternatives"
         )
 
+    users = index.owners(anchor_events)
+    counts = np.bincount(users, minlength=split.n_users)
+    ends = np.cumsum(counts)
     return QuadrupleSet(
-        users=users.array(),
-        positives=positives.array(),
-        negatives=negatives.array(),
-        times=times.array(),
+        users=users,
+        positives=index.items[anchor_events].astype(np.int64),
+        negatives=np.concatenate(negatives).astype(np.int64),
+        times=index.positions[anchor_events].astype(np.int64),
         per_user={
-            user: np.arange(start, stop, dtype=np.int64)
-            for user, (start, stop) in user_spans.items()
+            user: np.arange(ends[user] - counts[user], ends[user], dtype=np.int64)
+            for user in np.flatnonzero(counts).tolist()
         },
     )
+
+
+def _sample_chunk(
+    index: OccurrenceIndex,
+    targets: np.ndarray,
+    distances: np.ndarray,
+    n_negatives: int,
+    rng: np.random.Generator,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One chunk of targets: (anchor event per quadruple, negatives)."""
+    t = index.positions[targets][:, None]
+    gap = (index.positions[targets] - index.prev[targets])[:, None]
+    slots = targets[:, None] - distances
+    eligible = (
+        (distances <= t)
+        & (np.take(index.next, slots, mode="clip") >= t)
+        & (distances != gap)
+    )
+    # Ineligible slots sort last, so each row starts with its eligible
+    # items in ascending order — the seed's ``sorted(...)``.
+    candidates = np.where(
+        eligible, np.take(index.items, slots, mode="clip"), np.iinfo(np.int32).max
+    )
+    candidates.sort(axis=1)
+    counts = eligible.sum(axis=1)
+    chosen = candidates[:, :n_negatives].copy()
+    over = np.flatnonzero(counts > n_negatives)
+    if over.size:
+        picks = np.empty((over.size, n_negatives), dtype=np.int64)
+        for row, n_eligible in enumerate(counts[over].tolist()):
+            picks[row] = rng.choice(n_eligible, size=n_negatives, replace=False)
+        picks.sort(axis=1)
+        chosen[over] = np.take_along_axis(candidates[over], picks, axis=1)
+    taken = np.minimum(counts, n_negatives)
+    keep = np.arange(chosen.shape[1]) < taken[:, None]
+    return np.repeat(targets, taken), chosen[keep]

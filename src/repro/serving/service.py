@@ -317,6 +317,7 @@ class RecommendService:
         self._request_ids = itertools.count()
         self._queue: "queue.Queue[object]" = queue.Queue()
         self._closed = False
+        self._close_done = threading.Event()
         # Serializes scoring-loop execution between the background
         # worker and manual pump() callers; all engine mutation happens
         # under it.
@@ -714,23 +715,31 @@ class RecommendService:
         they check it: every accepted request is queued ahead of the
         sentinel (so the worker drains it), and no ingest can still be
         appending when the log closes below.
+
+        A second call waits until the first has finished, so when it
+        returns the online updates are flushed and the log is sealed.
         """
         with self.store.lock:
-            if self._closed:
-                return
+            closing = self._closed
             self._closed = True
-            if self._worker is not None:
+            if not closing and self._worker is not None:
                 self._queue.put(_SHUTDOWN)
-        if self._worker is not None:
-            self._worker.join(timeout=30.0)
-        else:
-            # Manual-pump services have no worker; flush whatever was
-            # submitted so no handle is left hanging.
-            self.pump()
-        if self.online_trainer is not None:
-            self.online_trainer.flush()
-        if self.event_log is not None:
-            self.event_log.close()
+        if closing:
+            self._close_done.wait()
+            return
+        try:
+            if self._worker is not None:
+                self._worker.join(timeout=30.0)
+            else:
+                # Manual-pump services have no worker; flush whatever was
+                # submitted so no handle is left hanging.
+                self.pump()
+            if self.online_trainer is not None:
+                self.online_trainer.flush()
+            if self.event_log is not None:
+                self.event_log.close()
+        finally:
+            self._close_done.set()
         logger.info("service closed")
 
     def __enter__(self) -> "RecommendService":

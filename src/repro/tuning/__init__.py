@@ -6,7 +6,7 @@
 * **Load** — :class:`~repro.tuning.load.LoadGenerator`, the seeded
   arrival schedules the serving benchmarks pace their requests with.
 
-System knobs (``check_interval``, ``capacity``, ``fit_workers``, …) are
+System knobs (``check_interval``, ``capacity``, …) are
 not declared here: each one's default and range live in the class that
 reads it (see DESIGN.md §13).
 """

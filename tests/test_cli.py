@@ -24,11 +24,6 @@ class TestParser:
         assert args.scale == "smoke"
         assert args.output == out
 
-    def test_fit_workers_flag_over_default(self):
-        assert build_parser().parse_args(["run", "fig5"]).fit_workers == 1
-        args = build_parser().parse_args(["run", "fig5", "--fit-workers", "3"])
-        assert args.fit_workers == 3
-
     def test_bad_scale_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "fig5", "--scale", "huge"])
@@ -56,13 +51,6 @@ class TestMain:
             ["run", "table2", "--scale", "smoke", "--output", str(out_file)]
         ) == 0
         assert "Statistics" in out_file.read_text()
-
-    @pytest.mark.parametrize("fit_workers", ["0", "257"])
-    def test_out_of_range_fit_workers_is_a_usage_error(self, capsys, fit_workers):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "table4", "--scale", "smoke", "--fit-workers", fit_workers])
-        assert exc.value.code == 2
-        assert "fit_workers must be in [1, 256]" in capsys.readouterr().err
 
     def test_run_unknown_experiment_raises(self):
         from repro.exceptions import ExperimentError

@@ -9,6 +9,7 @@ behind the ``chaos`` marker.
 
 from __future__ import annotations
 
+import json
 import time
 
 import pytest
@@ -436,3 +437,83 @@ class TestSharedArena:
         finally:
             router.close()
             supervisor.close()
+
+
+class TestWorkerShutdown:
+    def test_sigterm_during_close_still_flushes_and_seals(
+        self, gowalla_split: SplitDataset, tmp_path, monkeypatch
+    ) -> None:
+        # SIGINT to the process group starts a shard's close; the
+        # supervisor's SIGTERM then lands inside it. The close must still
+        # run to the end: the online flush happens and the log is sealed.
+        import multiprocessing
+        import os
+        import signal
+
+        from repro.cluster.worker import WorkerSpec, read_endpoint, run_worker
+        from repro.config import TSPPRConfig
+        from repro.models.tsppr import TSPPRRecommender
+        from repro.online.trainer import OnlineTrainer
+        from repro.serving.events import EventLog
+
+        model = TSPPRRecommender(TSPPRConfig(max_epochs=2000, seed=3)).fit(
+            gowalla_split, SMALL_WINDOW
+        )
+        config = ServiceConfig(
+            window=SMALL_WINDOW, n_items=gowalla_split.n_items,
+            online="isgd", online_batch=4096,
+        )
+        spec = WorkerSpec(
+            name="shard-0",
+            log_path=tmp_path / "shard-0.wal",
+            endpoint_path=tmp_path / "shard-0.endpoint.json",
+        )
+        stopping = tmp_path / "stopping"
+        closing = tmp_path / "closing"
+        flushed = tmp_path / "flushed"
+        flush = OnlineTrainer.flush
+
+        def slow_flush(trainer):
+            # Inherited by the forked worker: once the test has signalled,
+            # hold the close here long enough for the SIGTERM to land.
+            if stopping.exists():
+                closing.touch()
+                time.sleep(1.0)
+            applied = flush(trainer)
+            if stopping.exists():
+                flushed.write_text(str(applied))
+            return applied
+
+        monkeypatch.setattr(OnlineTrainer, "flush", slow_flush)
+        process = multiprocessing.get_context("fork").Process(
+            target=run_worker, args=(spec, gowalla_split, model, config),
+            daemon=True,
+        )
+        process.start()
+        try:
+            deadline = time.monotonic() + 60.0
+            while read_endpoint(spec.endpoint_path) is None:
+                assert time.monotonic() < deadline, "worker never came up"
+                assert process.is_alive(), "worker died during startup"
+                time.sleep(0.05)
+            events = stream_for(gowalla_split, USERS)
+            with ServingClient(read_endpoint(spec.endpoint_path)["url"]) as client:
+                for user, item in events:
+                    client.ingest(user, item)
+            stopping.touch()
+            os.kill(process.pid, signal.SIGINT)
+            while not closing.exists():
+                assert time.monotonic() < deadline, "close never reached the flush"
+                time.sleep(0.01)
+            os.kill(process.pid, signal.SIGTERM)
+            process.join(timeout=30.0)
+            assert not process.is_alive()
+            assert process.exitcode == 0
+        finally:
+            if process.is_alive():
+                process.kill()
+                process.join(timeout=10.0)
+        # The close-time flush returned, having applied buffered updates.
+        assert int(flushed.read_text()) > 0
+        manifest = EventLog.open(spec.log_path, readonly=True).manifest_path
+        assert json.loads(manifest.read_text())["n_records"] == len(events)

@@ -14,9 +14,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import build_parser as build_experiments_parser
 from repro.experiments.registry import available_experiments
-from repro.models.base import MAX_FIT_WORKERS
 from repro.serving.cli import KNOB_ARGS
 from repro.serving.service import KNOB_RANGES, ONLINE_MODES, ServiceConfig
 from repro.serving.state import DEFAULT_CAPACITY, MAX_CAPACITY
@@ -104,8 +102,6 @@ def _consumer_knob_rows():
         else:
             span = "[{}, {}]".format(*ranges[name])
         rows["--" + name.replace("_", "-")] = (str(default), span)
-    args = build_experiments_parser().parse_args(["run", "fig5"])
-    rows["--fit-workers"] = (str(args.fit_workers), f"[1, {MAX_FIT_WORKERS}]")
     return rows
 
 

@@ -59,7 +59,7 @@ class TestBuild:
             )
 
     def test_build_bit_identical_to_reference(self, gowalla_split):
-        # The session-walk build is a pure perf path: exact equality with
+        # The column-pass build is a pure perf path: exact equality with
         # the seed's per-anchor extraction, not allclose.
         model = BehavioralFeatureModel().fit(gowalla_split.train_dataset(), WINDOW)
         quadruples = sample_quadruples(
@@ -69,32 +69,6 @@ class TestBuild:
         reference = build_reference(quadruples, gowalla_split, model)
         assert np.array_equal(fast.positive, reference.positive)
         assert np.array_equal(fast.negative, reference.negative)
-
-    def test_build_workers_bit_identical(self, gowalla_split):
-        # Users are sharded across forked workers but every row lands at
-        # its global index, so worker count cannot change the arrays.
-        model = BehavioralFeatureModel().fit(gowalla_split.train_dataset(), WINDOW)
-        quadruples = sample_quadruples(
-            gowalla_split, WINDOW, n_negatives=3, random_state=5
-        )
-        sequential = QuadrupleFeatureCache.build(
-            quadruples, gowalla_split, model, workers=1
-        )
-        sharded = QuadrupleFeatureCache.build(
-            quadruples, gowalla_split, model, workers=3
-        )
-        assert np.array_equal(sequential.positive, sharded.positive)
-        assert np.array_equal(sequential.negative, sharded.negative)
-
-    def test_nonpositive_workers_rejected(self, gowalla_split):
-        model = BehavioralFeatureModel().fit(gowalla_split.train_dataset(), WINDOW)
-        quadruples = sample_quadruples(
-            gowalla_split, WINDOW, n_negatives=2, random_state=5
-        )
-        with pytest.raises(SamplingError, match="workers"):
-            QuadrupleFeatureCache.build(
-                quadruples, gowalla_split, model, workers=0
-            )
 
     def test_realistic_build(self, gowalla_split):
         window = WindowConfig()

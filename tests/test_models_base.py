@@ -1,5 +1,7 @@
 """Tests for repro.models.base and the simple baselines."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -68,10 +70,17 @@ class TestRecommenderBase:
             model.recommend(tiny_split.full_sequence(0), [1], 3, 0)
 
     def test_fit_workers_defaults_to_one_and_takes_the_callers(self, tiny_split):
-        assert ConstantScorer().fit(tiny_split)._fit_workers == 1
-        model = ConstantScorer().fit(tiny_split, fit_workers=3)
-        assert model._fit_workers == 3
+        # fit_workers is deprecated: 1 (or None) fits silently, any other
+        # in-range value still fits but warns that it has no effect.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ConstantScorer().fit(tiny_split).is_fitted
+            assert ConstantScorer().fit(tiny_split, fit_workers=1).is_fitted
+        with pytest.warns(DeprecationWarning, match="no effect"):
+            model = ConstantScorer().fit(tiny_split, fit_workers=3)
+        assert model.is_fitted
 
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     @pytest.mark.parametrize("fit_workers", [1, 256])
     def test_fit_workers_bounds_accepted(self, tiny_split, fit_workers):
         model = ConstantScorer().fit(tiny_split, fit_workers=fit_workers)

@@ -524,3 +524,39 @@ class TestCloseOrdering:
         ) == [1]
         with pytest.raises(ServingError, match="closed"):
             service.ingest(0, 2)
+
+    def test_second_close_waits_for_the_first(
+        self, tmp_path, gowalla_split: SplitDataset
+    ) -> None:
+        from repro.serving.events import EventLog
+
+        log = EventLog.open(tmp_path / "events.log")
+        model = RecencyRecommender().fit(gowalla_split, SMALL_WINDOW)
+        config = small_config(n_items=gowalla_split.n_items)
+        service = service_for_split(
+            model, gowalla_split, event_log=log, config=config
+        )
+        service.ingest(0, 1)
+        sealing, release = threading.Event(), threading.Event()
+        seal = log.seal
+
+        def slow_seal():
+            sealing.set()
+            assert release.wait(timeout=10.0)
+            return seal()
+
+        log.seal = slow_seal
+        first = threading.Thread(target=service.close)
+        first.start()
+        assert sealing.wait(timeout=5.0)
+        second = threading.Thread(target=service.close)
+        second.start()
+        second.join(timeout=0.3)
+        # The first close is still sealing, so the second must not have
+        # returned yet.
+        assert second.is_alive()
+        release.set()
+        for thread in (first, second):
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        assert log.manifest_path.exists()

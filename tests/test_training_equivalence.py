@@ -122,14 +122,14 @@ class TestTSPPREquivalence:
         _assert_tsppr_equal(scalar, vectorized)
 
     def test_fit_workers_bit_identical(self, gowalla_split):
-        # Worker sharding only parallelizes the feature-cache build;
-        # rows land at their global indices, so any worker count must
-        # reproduce the sequential arrays exactly.
+        # fit_workers is deprecated and reaches nothing: a value other
+        # than 1 warns and must reproduce the default fit exactly.
         config = TSPPRConfig(max_epochs=3000, seed=14)
         sequential = TSPPRRecommender(config)
         sequential.fit(gowalla_split, WINDOW, fit_workers=1)
         sharded = TSPPRRecommender(config)
-        sharded.fit(gowalla_split, WINDOW, fit_workers=2)
+        with pytest.warns(DeprecationWarning, match="no effect"):
+            sharded.fit(gowalla_split, WINDOW, fit_workers=2)
         _assert_tsppr_equal(sequential, sharded)
 
 

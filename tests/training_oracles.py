@@ -1,11 +1,13 @@
 """The seed's scalar training pipeline, kept as a test oracle.
 
-Every fit ships one engine: the incremental quadruple sampler, the
-session-walk feature cache, stream-exact block draws and the vectorized
+Every fit ships one engine: the column-pass reconsumption ratio,
+quadruple sampler and feature cache, stream-exact block draws and the vectorized
 kernels of :mod:`repro.optim.kernels`. This module keeps the seed's
 one-row-at-a-time version of each phase, with the signature of the
 function it checks:
 
+* :func:`reconsumption_ratio_reference` — per-event last-occurrence
+  search (for :func:`repro.features.static.compute_reconsumption_ratio`);
 * :func:`sample_quadruples_reference` — per-position ``window_before``
   rebuild (for :func:`repro.sampling.quadruples.sample_quadruples`);
 * :func:`build_reference` — per-anchor feature extraction (for
@@ -30,10 +32,13 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 import pytest
 
+import repro.features.static
 import repro.models.fpmc
 import repro.models.ppr
+import repro.models.strec
 import repro.models.tsppr
 from repro.config import WindowConfig
+from repro.data.dataset import Dataset
 from repro.data.split import SplitDataset
 from repro.exceptions import SamplingError
 from repro.features.cache import QuadrupleFeatureCache
@@ -47,8 +52,31 @@ from repro.windows.window import WindowView, window_before
 
 
 # ----------------------------------------------------------------------
-# Sampling and the feature cache
+# The reconsumption ratio, sampling and the feature cache
 # ----------------------------------------------------------------------
+def reconsumption_ratio_reference(dataset: Dataset, window_size: int) -> np.ndarray:
+    """The seed's per-event walk for the Eq 18 ratio.
+
+    One ``last_position_before`` binary search per consumption.
+    Bit-identical to ``compute_reconsumption_ratio``.
+    """
+    repeats = np.zeros(dataset.n_items, dtype=np.int64)
+    totals = np.zeros(dataset.n_items, dtype=np.int64)
+    for sequence in dataset:
+        items = sequence.items
+        if items.size:
+            np.add.at(totals, items, 1)
+        for t in range(1, int(items.size)):
+            item = int(items[t])
+            last = sequence.last_position_before(item, t)
+            if last >= 0 and t - last <= window_size:
+                repeats[item] += 1
+    ratio = np.zeros(dataset.n_items, dtype=np.float64)
+    consumed = totals > 0
+    ratio[consumed] = repeats[consumed] / totals[consumed]
+    return ratio
+
+
 def sample_quadruples_reference(
     split: SplitDataset,
     window: Optional[WindowConfig] = None,
@@ -142,14 +170,11 @@ def build_reference(
     quadruples: QuadrupleSet,
     split: SplitDataset,
     feature_model: BehavioralFeatureModel,
-    workers: int = 1,
 ) -> QuadrupleFeatureCache:
     """The seed's per-anchor extraction.
 
     Quadruples sharing a ``(user, t)`` anchor share one window view.
-    ``workers`` is accepted for signature parity with
-    ``QuadrupleFeatureCache.build`` and ignored: the oracle is
-    sequential. Bit-identical to ``build``.
+    Bit-identical to ``build``.
     """
     window_size = feature_model.window_config.window_size
     n = len(quadruples)
@@ -352,12 +377,18 @@ def scalar_engine(monkeypatch):
 
     ``with scalar_engine(): reference = Model(config).fit(split)``; fits
     outside the block run the shipped engine. It swaps every phase of
-    TS-PPR, PPR and FPMC training for its oracle above.
+    TS-PPR, PPR and FPMC training, and the reconsumption ratio of the
+    feature tables, for its oracle above.
     """
 
     @contextlib.contextmanager
     def engine():
         with monkeypatch.context() as patch:
+            for module in (repro.features.static, repro.models.strec):
+                patch.setattr(
+                    module, "compute_reconsumption_ratio",
+                    reconsumption_ratio_reference,
+                )
             for model in (repro.models.tsppr, repro.models.ppr):
                 patch.setattr(model, "sample_quadruples", sample_quadruples_reference)
             patch.setattr(QuadrupleFeatureCache, "build", staticmethod(build_reference))
