@@ -58,14 +58,12 @@ from repro.models import (
     SurvivalRecommender,
     TSPPRRecommender,
 )
-from repro.io import load_model, save_model
 from repro.novel import (
     MixtureRecommender,
     NovelPopRecommender,
     NovelTSPPRRecommender,
 )
 from repro.synth import generate_gowalla, generate_lastfm
-from repro.tuning import GridSearch
 
 __version__ = "1.0.0"
 
@@ -77,7 +75,6 @@ __all__ = [
     "Dataset",
     "EvaluationConfig",
     "FPMCRecommender",
-    "GridSearch",
     "MixtureRecommender",
     "NovelPopRecommender",
     "NovelTSPPRRecommender",
@@ -101,9 +98,7 @@ __all__ = [
     "gowalla_default_config",
     "lastfm_default_config",
     "load_event_log",
-    "load_model",
     "save_event_log",
-    "save_model",
     "temporal_split",
     "time_recommender",
     "__version__",

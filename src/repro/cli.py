@@ -7,8 +7,6 @@ Usage::
     repro-experiments run all --scale full --output results.txt
     repro-experiments run all --journal runs/journal.json --retries 2
     repro-experiments run all --journal runs/journal.json --resume
-    repro-experiments serve --model recency --event-log runs/events.log
-    repro-experiments replay --event-log runs/events.log
 
 ``run all`` executes every registered table/figure in id order and
 concatenates the rendered outputs — the full EXPERIMENTS.md evidence run.
@@ -21,12 +19,6 @@ aborting the whole evidence run, prints a one-line summary on exit,
 and returns a nonzero exit code iff anything remains failed.
 ``--resume`` skips experiments the journal already marks ``done`` —
 rerun the same command after a crash and only unfinished work repeats.
-
-``serve`` and ``replay`` mount the online serving layer
-(:mod:`repro.serving.cli`, also installed standalone as ``repro-serve``):
-``serve`` fits a model and answers live recommendation requests over
-HTTP; ``replay`` rebuilds session state from an event log and prints the
-per-user fingerprints a recovering server would reach.
 """
 
 from __future__ import annotations
@@ -45,14 +37,6 @@ from repro.experiments.registry import (
 )
 from repro.logging_utils import enable_console_logging, get_logger
 from repro.resilience.journal import RunJournal
-from repro.serving.cli import (
-    add_cluster_arguments,
-    add_replay_arguments,
-    add_serve_arguments,
-    run_cluster,
-    run_replay,
-    run_serve,
-)
 
 logger = get_logger("cli")
 
@@ -74,19 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     subparsers.add_parser("list", help="list available experiment ids")
-
-    serve_parser = subparsers.add_parser(
-        "serve", help="serve live recommendations over HTTP"
-    )
-    add_serve_arguments(serve_parser)
-    replay_parser = subparsers.add_parser(
-        "replay", help="rebuild serving state from an event log"
-    )
-    add_replay_arguments(replay_parser)
-    cluster_parser = subparsers.add_parser(
-        "cluster", help="run the sharded serving cluster behind one router"
-    )
-    add_cluster_arguments(cluster_parser)
 
     run_parser = subparsers.add_parser("run", help="run one experiment (or 'all')")
     run_parser.add_argument(
@@ -260,12 +231,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for experiment_id in available_experiments():
             print(experiment_id)
         return 0
-    if args.command == "serve":
-        return run_serve(args)
-    if args.command == "replay":
-        return run_replay(args)
-    if args.command == "cluster":
-        return run_cluster(args)
 
     if args.resume and args.journal is None:
         parser.error("--resume requires --journal")

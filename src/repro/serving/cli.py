@@ -18,9 +18,6 @@ state fingerprints — which is how operators verify recovery.
 worker processes behind one router address, with heartbeat monitoring,
 WAL-replay restarts, and graceful degradation (see
 :mod:`repro.cluster`).
-
-The same subcommands are also mounted on ``repro-experiments`` so the
-whole toolbox stays reachable from one entry point.
 """
 
 from __future__ import annotations

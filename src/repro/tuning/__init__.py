@@ -1,17 +1,14 @@
-"""Tuning: the paper's hyper-parameter grid search and load schedules.
+"""Tuning: the seeded load schedules the serving benchmarks run.
 
-* **Model hyper-parameters** — :class:`~repro.tuning.grid.GridSearch`
-  generalizes the paper's Section 5.5 one-axis-at-a-time sweeps over
-  λ, γ, K, S, Ω into a reusable utility.
-* **Load** — :class:`~repro.tuning.load.LoadGenerator`, the seeded
-  arrival schedules the serving benchmarks pace their requests with.
+:class:`~repro.tuning.load.LoadGenerator` builds the arrival schedules
+the serving benchmarks pace their requests with. The paper's Section 5.5
+hyper-parameter sweeps are the experiments ``fig8``–``fig11``.
 
 System knobs (``check_interval``, ``capacity``, …) are
 not declared here: each one's default and range live in the class that
 reads it (see DESIGN.md §13).
 """
 
-from repro.tuning.grid import GridPointResult, GridSearch, expand_grid
 from repro.tuning.load import LoadGenerator
 
-__all__ = ["GridPointResult", "GridSearch", "LoadGenerator", "expand_grid"]
+__all__ = ["LoadGenerator"]

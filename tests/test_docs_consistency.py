@@ -2,13 +2,15 @@
 
 These guard the reproduction contract: every registered paper artifact
 must be documented in DESIGN.md and EXPERIMENTS.md and have a benchmark
-that regenerates it; every public module must carry a docstring; and
+that regenerates it; every public module must carry a docstring;
 DESIGN.md's knob table lists exactly the knob flags, each with its
-consumer's default and range.
+consumer's default and range; and the layout blocks of DESIGN.md and
+README.md name exactly the subpackages of ``src/repro``.
 """
 
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -112,3 +114,27 @@ class TestKnobTable:
         assert set(documented) == set(expected), "DESIGN.md §13 flags differ"
         for flag, row in expected.items():
             assert documented[flag] == row, flag
+
+
+def _layout_packages(doc_name, heading):
+    """The ``NAME/`` entries of the ``src/repro/`` block under ``heading``.
+
+    The package's entries are the lines indented by exactly two spaces.
+    """
+    text = (REPO_ROOT / doc_name).read_text()
+    block = text.split(heading, 1)[1].split("```", 2)[1]
+    return set(re.findall(r"^  (\w+)/", block, flags=re.MULTILINE))
+
+
+class TestLayout:
+    @pytest.mark.parametrize(
+        "doc_name, heading",
+        [
+            ("DESIGN.md", "## 6. Repository layout"),
+            ("README.md", "## Architecture"),
+        ],
+    )
+    def test_layout_lists_every_subpackage(self, doc_name, heading):
+        package = REPO_ROOT / "src" / "repro"
+        subpackages = {path.parent.name for path in package.glob("*/__init__.py")}
+        assert _layout_packages(doc_name, heading) == subpackages

@@ -1,11 +1,10 @@
 """The serving CLI: parser wiring, knob flags, replay end-to-end.
 
 ``serve`` blocks on a socket, so its end-to-end path is exercised via
-the server tests; here we verify the argument surface (both the
-standalone ``repro-serve`` parser and the subcommands mounted on
-``repro-experiments``), the system-knob flags — precedence, ranges and
-the startup provenance line — and run ``replay`` for real against a
-log produced by a live service.
+the server tests; here we verify the ``repro-serve`` argument surface,
+the system-knob flags — precedence, ranges and the startup provenance
+line — and run ``replay`` for real against a log produced by a live
+service.
 """
 
 from __future__ import annotations
@@ -138,17 +137,6 @@ class TestParser:
                  str(tmp_path / "none.log")]
             )
 
-    def test_mounted_on_experiments_cli(self, tmp_path) -> None:
-        """repro-experiments gained the same serve/replay subcommands."""
-        parser = experiments_cli.build_parser()
-        args = parser.parse_args(["serve", "--model", "pop", "--port", "0"])
-        assert args.command == "serve"
-        assert args.model == "pop"
-        args = parser.parse_args(
-            ["replay", "--event-log", str(tmp_path / "e.log")]
-        )
-        assert args.command == "replay"
-
     def test_choices_cover_bundled_models(self) -> None:
         assert set(MODEL_CHOICES) == {"recency", "pop", "tsppr", "ppr", "fpmc"}
         assert set(DATASET_CHOICES) == {"gowalla", "lastfm"}
@@ -164,15 +152,18 @@ class TestHelp:
     """argparse formats help lazily: a bad help string fails only here."""
 
     @pytest.mark.parametrize(
-        "build",
-        [experiments_cli.build_parser, build_parser],
+        "build, expected",
+        [
+            (experiments_cli.build_parser, {"list", "run"}),
+            (build_parser, {"serve", "cluster", "replay"}),
+        ],
         ids=["repro-experiments", "repro-serve"],
     )
-    def test_every_subcommand_help_renders(self, build) -> None:
+    def test_every_subcommand_help_renders(self, build, expected) -> None:
         parser = build()
         assert "usage:" in parser.format_help()
         subcommands = dict(_subcommands(parser))
-        assert {"serve", "cluster", "replay"} <= set(subcommands)
+        assert set(subcommands) == expected
         for name, subparser in subcommands.items():
             text = " ".join(subparser.format_help().split())
             assert text.startswith("usage:"), name
