@@ -20,6 +20,7 @@ compared across changes. Fit time is measured by perfbench's
 """
 
 import json
+import os
 import platform
 import sys
 from pathlib import Path
@@ -86,13 +87,17 @@ def bench_record():
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Write each recorded group as ``benchmarks/BENCH_<group>.json``."""
+    """Write each recorded group as ``benchmarks/BENCH_<group>.json``.
+
+    Every record states the core count it was taken on.
+    """
     if not _BENCH_RESULTS:
         return
     out_dir = Path(__file__).resolve().parent
     for group, results in sorted(_BENCH_RESULTS.items()):
         payload = {
             "group": group,
+            "cores": os.cpu_count() or 1,
             "python": platform.python_version(),
             "machine": platform.machine(),
             "results": results,

@@ -11,10 +11,12 @@ path:
 * :class:`~repro.engine.session.ScoringSession` — a forward walk over
   one user's sequence maintaining the window multiset, the Ω-recency
   multiset, and per-item last-occurrence state with O(1) updates per
-  step.
-* :class:`~repro.engine.features.SessionFeatureMatrix` — vectorized
-  construction of the behavioural feature matrix ``f_uvt`` from session
-  state, reproducing each extractor's scalar arithmetic exactly.
+  step. The evaluation protocol finds its targets with it, and the
+  Recency, DYRC and FPMC kernels read window state from it.
+* :class:`~repro.engine.features.SessionFeatureMatrix` — TS-PPR's
+  feature fill: every query's candidate rows ``f_uvt`` in one column
+  pass over an :class:`~repro.windows.occurrences.OccurrenceIndex`,
+  with the training feature cache's filler. No window walk.
 
 Models consume these through
 :meth:`repro.models.base.Recommender.score_batch`; the evaluation

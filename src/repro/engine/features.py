@@ -1,49 +1,53 @@
-"""Vectorized behavioural-feature construction from session state.
+"""Vectorized behavioural-feature construction.
 
 :meth:`BehavioralFeatureModel.matrix` fills the feature matrix with a
 Python double loop — one ``extractor.value`` call per (item, feature),
-each doing its own binary search or table lookup. That loop is the
-single hottest part of TS-PPR's online scoring.
-:class:`SessionFeatureMatrix` replaces it with one numpy gather or
-arithmetic kernel per *feature column*, reading window state straight
-from a :class:`~repro.engine.session.ScoringSession`.
+each doing its own binary search or table lookup. Two replacements
+reproduce its values bit for bit:
 
-Bit-identity contract: every fast path reproduces the extractor's
-scalar arithmetic exactly —
+* :class:`SessionFeatureMatrix` — TS-PPR's scoring fill. It lays a
+  batch of queries' candidates end to end as ``(user, item, t)`` rows
+  and fills them in one column pass over an
+  :class:`~repro.windows.occurrences.OccurrenceIndex`, with the filler
+  the training feature cache uses
+  (:func:`repro.features.cache.fill_rows`).
+* :func:`fast_fillers` — per-column fillers that read a live serving
+  session's incremental state, for the online adapter's two-row
+  capture on the ingest path.
 
-* table features (item quality, reconsumption ratio) become gathers,
-  which are exact;
-* hyperbolic recency ``1/gap`` and familiarity ``count/length`` are
-  single IEEE-754 divisions in both paths, hence identical;
-* exponential recency keeps the scalar ``math.exp`` loop, because
-  numpy's vectorized ``np.exp`` differs from libm by ulps (verified on
-  this BLAS/numpy build) and would silently change rankings;
-* extractors without a fast path fall back to the per-item scalar loop
-  over a materialized :class:`WindowView`, so custom registered
-  features keep working unchanged.
-
-``tests/test_engine.py`` asserts the matrix equality feature by
-feature against :meth:`BehavioralFeatureModel.matrix`.
+Both keep each extractor's scalar arithmetic: table features become
+gathers, hyperbolic recency ``1/gap`` and familiarity ``count/length``
+stay single IEEE-754 divisions, and exponential recency keeps scalar
+``math.exp``, because numpy's vectorized ``np.exp`` differs from libm by
+ulps and would silently change rankings.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+import math
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.engine.session import ScoringSession
-from repro.exceptions import FeatureError
+from repro.data.sequence import ConsumptionSequence
+from repro.engine.query import Query
+from repro.exceptions import DataError, FeatureError
 from repro.features.base import FeatureExtractor
+from repro.features.cache import fill_rows
 from repro.features.dynamic import DynamicFamiliarityFeature, RecencyFeature
 from repro.features.static import ItemQualityFeature, ReconsumptionRatioFeature
 from repro.features.vectorizer import BehavioralFeatureModel
+from repro.windows.occurrences import OccurrenceIndex
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.store.session import StoreSession
 
 #: Fills one feature column for the given candidate items. ``items``
 #: is the int64 array form, ``keys`` the same items as a Python list —
 #: gather fillers index with the array, dict-lookup fillers iterate the
-#: list; both are derived once per matrix call.
-ColumnFiller = Callable[[ScoringSession, np.ndarray, List[int], np.ndarray], None]
+#: list; both are derived once per capture.
+ColumnFiller = Callable[["StoreSession", np.ndarray, List[int], np.ndarray], None]
 
 
 def _table_filler(table: np.ndarray) -> ColumnFiller:
@@ -55,7 +59,7 @@ def _table_filler(table: np.ndarray) -> ColumnFiller:
     size = table.size
 
     def fill(
-        session: ScoringSession,
+        session: "StoreSession",
         items: np.ndarray,
         keys: List[int],
         out: np.ndarray,
@@ -70,7 +74,7 @@ def _table_filler(table: np.ndarray) -> ColumnFiller:
 
 
 def _hyperbolic_recency_filler(
-    session: ScoringSession,
+    session: "StoreSession",
     items: np.ndarray,
     keys: List[int],
     out: np.ndarray,
@@ -88,14 +92,12 @@ def _hyperbolic_recency_filler(
 
 
 def _exponential_recency_filler(
-    session: ScoringSession,
+    session: "StoreSession",
     items: np.ndarray,
     keys: List[int],
     out: np.ndarray,
 ) -> None:
     """``c_vt = e^{-gap}`` via scalar libm exp (see module docstring)."""
-    import math
-
     t = session.t
     exp = math.exp
     out[:] = [
@@ -105,7 +107,7 @@ def _exponential_recency_filler(
 
 
 def _familiarity_filler(
-    session: ScoringSession,
+    session: "StoreSession",
     items: np.ndarray,
     keys: List[int],
     out: np.ndarray,
@@ -117,24 +119,6 @@ def _familiarity_filler(
         return
     counts = session.window_counts_map()
     out[:] = [counts.get(key, 0) / length for key in keys]
-
-
-def _fallback_filler(extractor: FeatureExtractor) -> ColumnFiller:
-    """Scalar loop over a materialized window for custom extractors."""
-
-    def fill(
-        session: ScoringSession,
-        items: np.ndarray,
-        keys: List[int],
-        out: np.ndarray,
-    ) -> None:
-        window = session.window_view()
-        sequence = session.sequence
-        t = session.t
-        for row, item in enumerate(keys):
-            out[row] = extractor.value(sequence, item, t, window)
-
-    return fill
 
 
 def _fast_filler_for(extractor: FeatureExtractor) -> Optional[ColumnFiller]:
@@ -149,25 +133,15 @@ def _fast_filler_for(extractor: FeatureExtractor) -> Optional[ColumnFiller]:
     return None
 
 
-def _filler_for(extractor: FeatureExtractor) -> ColumnFiller:
-    fast = _fast_filler_for(extractor)
-    if fast is not None:
-        return fast
-    return _fallback_filler(extractor)
-
-
 def fast_fillers(
     feature_model: BehavioralFeatureModel,
 ) -> Optional[List[ColumnFiller]]:
-    """Column fillers when *every* extractor has a vectorized fast path.
+    """Column fillers over a live session, when every extractor has one.
 
-    Returns ``None`` as soon as one extractor would need the scalar
-    fallback (custom registered features) — the fallback reads
-    ``window_view()``/``.sequence``, which only :class:`ScoringSession`
-    provides, so callers holding other session flavours (the serving
-    stores) must keep the generic matrix path for those models. The
-    online ISGD capture uses this to price a two-row feature diff in
-    microseconds instead of a generic matrix build.
+    Returns ``None`` as soon as one extractor has no column form
+    (custom registered features); the online adapter then builds the
+    generic matrix from the session's sequence. The online ISGD capture
+    uses these to price a two-row feature diff in microseconds.
     """
     fillers: List[ColumnFiller] = []
     for name in feature_model.feature_names:
@@ -179,7 +153,7 @@ def fast_fillers(
 
 
 class SessionFeatureMatrix:
-    """Builds ``f_uvt`` matrices for the candidates of session positions.
+    """``f_uvt`` rows for a batch of one user's queries.
 
     Parameters
     ----------
@@ -187,34 +161,67 @@ class SessionFeatureMatrix:
         A *fitted* :class:`BehavioralFeatureModel`; its extractor order
         defines the column order, exactly as in
         :meth:`BehavioralFeatureModel.matrix`.
-    session:
-        The walk supplying window state. The caller advances it; this
-        object only reads.
+    sequence:
+        The user's consumption sequence the queries are positions of.
+    window_size:
+        ``|W|`` of the window the familiarity feature counts in: the
+        scoring model's, which a feature model fitted beforehand on
+        another window need not share.
     """
 
-    __slots__ = ("session", "n_features", "_fillers")
+    __slots__ = ("sequence", "window_size", "_extractors")
 
     def __init__(
         self,
         feature_model: BehavioralFeatureModel,
-        session: ScoringSession,
+        sequence: ConsumptionSequence,
+        window_size: int,
     ) -> None:
         feature_model.window_config  # raises NotFittedError when unfitted
-        self.session = session
-        extractors: List[FeatureExtractor] = [
+        self.sequence = sequence
+        self.window_size = window_size
+        self._extractors: List[FeatureExtractor] = [
             feature_model.extractor(name)
             for name in feature_model.feature_names
         ]
-        self.n_features = len(extractors)
-        self._fillers = [_filler_for(extractor) for extractor in extractors]
 
-    def matrix(self, items: np.ndarray) -> np.ndarray:
-        """Feature rows for ``items`` at the session's current position.
+    def matrix(self, queries: Sequence[Query]) -> np.ndarray:
+        """Every query's candidate rows, laid end to end in query order.
 
-        Bit-identical to ``feature_model.matrix(sequence, items, t)``.
+        Query ``q``'s rows equal ``feature_model.matrix(sequence,
+        q.candidates, q.t, window_before(sequence, q.t, window_size))``
+        bit for bit. One occurrence index over the sequence up to the
+        latest ``t`` answers all of them. Raises
+        :class:`~repro.exceptions.DataError` for a ``t`` past the end of
+        the sequence.
         """
-        keys = items.tolist()
-        rows = np.empty((items.size, self.n_features), dtype=np.float64)
-        for column, fill in enumerate(self._fillers):
-            fill(self.session, items, keys, rows[:, column])
+        sequence = self.sequence
+        horizon = max((query.t for query in queries), default=0)
+        if horizon > len(sequence):
+            raise DataError(
+                f"query t={horizon} past the end of user {sequence.user}'s "
+                f"sequence (length {len(sequence)})"
+            )
+        sizes = [len(query.candidates) for query in queries]
+        n_rows = sum(sizes)
+        items = np.fromiter(
+            chain.from_iterable(query.candidates for query in queries),
+            dtype=np.int64,
+            count=n_rows,
+        )
+        times = np.repeat(
+            np.fromiter((query.t for query in queries), np.int64, len(queries)),
+            sizes,
+        )
+        rows = np.empty((n_rows, len(self._extractors)), dtype=np.float64)
+        fill_rows(
+            OccurrenceIndex([sequence.items[:horizon]]),
+            self._extractors,
+            [sequence],
+            self.window_size,
+            np.zeros(n_rows, dtype=np.int64),
+            items,
+            times,
+            rows,
+        )
         return rows

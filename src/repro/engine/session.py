@@ -10,9 +10,8 @@ maintains the same state with O(1) dictionary updates per step:
   consumptions (the paper's ``W_{u,t-1}``);
 * the **Ω multiset** — per-item counts over the last ``min_gap``
   consumptions (the trivially-remembered exclusions of Section 5.1);
-* **last occurrence** — ``l_ut(v)`` for every item seen since the
-  session start, falling back to the sequence's binary-search index for
-  items last seen before the start.
+* **last occurrence** — ``l_ut(v)`` for every item seen before ``t``
+  (seeded over the prefix at construction); -1 for an item never seen.
 
 All accessors are defined to agree exactly with the reference helpers in
 :mod:`repro.windows` (``window_before``, ``recent_items``,
@@ -29,7 +28,6 @@ import numpy as np
 
 from repro.data.sequence import ConsumptionSequence
 from repro.exceptions import DataError
-from repro.windows.window import WindowView
 
 
 def fingerprint_state(
@@ -121,17 +119,15 @@ class ScoringSession:
         basket).
     start:
         Initial position: the session state describes the window *before*
-        ``start``. Window state construction is O(``window_size``)
-        regardless of ``start`` (plus one O(|S_u|) array-to-list
-        conversion of the items) — history older than the window is
-        reached lazily through the sequence's occurrence index.
+        ``start``. Construction costs one O(|S_u|) array-to-list
+        conversion of the items plus an O(``start``) forward pass over
+        the prefix that seeds every item's last position.
     """
 
     __slots__ = (
         "sequence",
         "window_size",
         "min_gap",
-        "_items",
         "_items_list",
         "_t",
         "_window_counts",
@@ -158,10 +154,9 @@ class ScoringSession:
         self.sequence = sequence
         self.window_size = window_size
         self.min_gap = min_gap
-        self._items = sequence.items
         # Python ints for the walk: indexing a list is several times
         # faster than materializing numpy scalars position by position.
-        self._items_list: List[int] = self._items.tolist()
+        self._items_list: List[int] = sequence.items.tolist()
         self._t = start
 
         window_counts: Dict[int, int] = {}
@@ -175,9 +170,8 @@ class ScoringSession:
         self._recent_counts = recent_counts
         # Seeded with every occurrence before ``start`` in one forward
         # pass: enumerate overwrites, so the dict ends at each item's
-        # last prefix position — the same value the sequence's
-        # binary-search index would return. Items never seen at all
-        # still miss and fall back to that index (returning -1).
+        # last prefix position. ``advance`` keeps it current, so an item
+        # missing from it has not occurred before ``t``.
         last_pos: Dict[int, int] = {}
         for position, item in enumerate(self._items_list[:start]):
             last_pos[item] = position
@@ -237,24 +231,6 @@ class ScoringSession:
     # ------------------------------------------------------------------
     # Window state at the current position
     # ------------------------------------------------------------------
-    def window_length(self) -> int:
-        """Number of consumptions in the window before ``t``."""
-        return min(self._t, self.window_size)
-
-    def window_count(self, item: int) -> int:
-        """Occurrences of ``item`` in the window before ``t``."""
-        return self._window_counts.get(int(item), 0)
-
-    def window_counts(self, items: np.ndarray) -> np.ndarray:
-        """Window occurrence counts for many items; shape ``(n,)``."""
-        counts = self._window_counts
-        keys = items.tolist() if isinstance(items, np.ndarray) else items
-        return np.array([counts.get(key, 0) for key in keys], dtype=np.int64)
-
-    def window_counts_map(self) -> Dict[int, int]:
-        """The live item → window-count dict. Treat as read-only."""
-        return self._window_counts
-
     def distinct_window_items(self) -> List[int]:
         """Distinct window items, sorted ascending for determinism."""
         return sorted(self._window_counts)
@@ -273,25 +249,13 @@ class ScoringSession:
 
     def last_position(self, item: int) -> int:
         """``l_ut(v)`` — last occurrence of ``item`` strictly before ``t``."""
-        position = self._last_pos.get(int(item))
-        if position is not None:
-            return position
-        return self.sequence.last_position_before(int(item), self._t)
-
-    def last_positions_list(self, keys: List[int]) -> List[int]:
-        """Last occurrences before ``t`` as a Python list (-1 if never)."""
-        last_pos = self._last_pos
-        lookup = self.sequence.last_position_before
-        t = self._t
-        return [
-            last_pos[key] if key in last_pos else lookup(key, t)
-            for key in keys
-        ]
+        return self._last_pos.get(int(item), -1)
 
     def last_positions(self, items: np.ndarray) -> np.ndarray:
         """Last occurrences before ``t`` for many items (-1 if never)."""
         keys = items.tolist() if isinstance(items, np.ndarray) else items
-        return np.array(self.last_positions_list(keys), dtype=np.int64)
+        get = self._last_pos.get
+        return np.array([get(key, -1) for key in keys], dtype=np.int64)
 
     def is_target(self) -> bool:
         """Whether the consumption at the current ``t`` is an RRC target.
@@ -326,18 +290,6 @@ class ScoringSession:
             self._window_counts,
             self._recent_counts,
             self._last_pos,
-        )
-
-    def window_view(self) -> WindowView:
-        """Materialize the current window as a :class:`WindowView`.
-
-        O(``window_size``) — the escape hatch for custom feature
-        extractors with no vectorized fast path.
-        """
-        t = self._t
-        start = max(0, t - self.window_size)
-        return WindowView(
-            self.sequence.user, start, t, self._items[start:t]
         )
 
     def __repr__(self) -> str:

@@ -7,25 +7,31 @@ stores, for each quadruple ``(u, v_i, v_j, t)``, the pair
 ``(f_uv_i t, f_uv_j t)`` in two dense float arrays so the SGD loop does
 pure array indexing.
 
-:meth:`QuadrupleFeatureCache.build` fills whole columns, in fixed-size
-row chunks: an :class:`~repro.windows.occurrences.OccurrenceIndex` gives
-every row's last position before ``t`` and its window count. Quality
-and ratio are gathers, hyperbolic recency ``1/(t - last)`` and
-familiarity ``count / min(t, |W|)`` — the extractors' own single
-IEEE-754 operations. Exponential recency keeps scalar ``math.exp``
-(``np.exp`` differs by ulps; see :mod:`repro.engine.features`), and an
-extractor without a column form is called per row. The seed's
-per-anchor extraction is the test oracle in
-``tests/training_oracles.py``.
+:func:`fill_rows` is the one ``f_uvt`` filler for many ``(u, v, t)``
+rows: :meth:`QuadrupleFeatureCache.build` calls it in fixed-size row
+chunks, and TS-PPR's scoring (:class:`repro.engine.features.SessionFeatureMatrix`)
+calls it once per batch of queries. An
+:class:`~repro.windows.occurrences.OccurrenceIndex` gives every row's
+last position before ``t`` and its window count. Quality and ratio are
+gathers, hyperbolic recency ``1/(t - last)`` and familiarity
+``count / min(t, |W|)`` — the extractors' own single IEEE-754
+operations. Exponential recency keeps scalar ``math.exp`` (numpy's
+vectorized ``np.exp`` differs from libm by ulps and would change
+rankings), and an extractor without a column form is called per row.
+The seed's per-anchor extraction is the test oracle in
+``tests/training_oracles.py``, and ``tests/test_engine.py`` compares
+the filler with :meth:`BehavioralFeatureModel.matrix` feature by
+feature.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 
+from repro.data.sequence import ConsumptionSequence
 from repro.data.split import SplitDataset
 from repro.exceptions import DataError, FeatureError, SamplingError
 from repro.features.base import FeatureExtractor
@@ -103,8 +109,8 @@ class QuadrupleFeatureCache:
         users, times = quadruples.users, quadruples.times
         positive = np.empty((len(quadruples), len(extractors)), dtype=np.float64)
         negative = np.empty_like(positive)
-        sequences = [split.full_sequence(user).items for user in range(split.n_users)]
-        lengths = np.array([items.size for items in sequences], dtype=np.int64)
+        sequences = [split.full_sequence(user) for user in range(split.n_users)]
+        lengths = np.array([len(sequence) for sequence in sequences], dtype=np.int64)
         if len(quadruples) and (
             users.min() < 0 or users.max() >= split.n_users
             or times.min() < 0 or (times > lengths[users]).any()
@@ -114,7 +120,10 @@ class QuadrupleFeatureCache:
         limits = np.zeros(split.n_users, dtype=np.int64)
         np.maximum.at(limits, users, times)
         index = OccurrenceIndex(
-            [items[:limit] for items, limit in zip(sequences, limits.tolist())]
+            [
+                sequence.items[:limit]
+                for sequence, limit in zip(sequences, limits.tolist())
+            ]
         )
         for start in range(0, len(quadruples), _CHUNK_ROWS):
             rows = slice(start, start + _CHUNK_ROWS)
@@ -122,8 +131,8 @@ class QuadrupleFeatureCache:
                 (quadruples.positives[rows], positive[rows]),
                 (quadruples.negatives[rows], negative[rows]),
             ):
-                _fill_rows(
-                    index, extractors, split, window_size,
+                fill_rows(
+                    index, extractors, sequences, window_size,
                     users[rows], items, times[rows], out,
                 )
         return cls(positive, negative)
@@ -133,17 +142,23 @@ class QuadrupleFeatureCache:
 _CHUNK_ROWS = 1 << 15
 
 
-def _fill_rows(
+def fill_rows(
     index: OccurrenceIndex,
     extractors: List[FeatureExtractor],
-    split: SplitDataset,
+    sequences: Sequence[ConsumptionSequence],
     window_size: int,
     users: np.ndarray,
     items: np.ndarray,
     times: np.ndarray,
     out: np.ndarray,
 ) -> None:
-    """Write ``f_{u v t}`` of each row into ``out`` (shape ``(rows, F)``)."""
+    """Write ``f_{u v t}`` of each row into ``out`` (shape ``(rows, F)``).
+
+    ``users`` index both ``index`` and ``sequences``; ``sequences[u]``
+    is read only by an extractor without a column form. Raises
+    :class:`~repro.exceptions.FeatureError` when a table feature meets
+    an item outside its vocabulary.
+    """
     last, count = index.last_and_count(users, items, times, window_size)
     seen = last >= 0
     for column, extractor in enumerate(extractors):
@@ -176,6 +191,6 @@ def _fill_rows(
                 zip(users.tolist(), items.tolist(), times.tolist())
             ):
                 if anchor != (user, t):
-                    anchor, sequence = (user, t), split.full_sequence(user)
+                    anchor, sequence = (user, t), sequences[user]
                     window = window_before(sequence, t, window_size)
                 values[row] = extractor.value(sequence, item, t, window)

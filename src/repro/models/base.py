@@ -6,8 +6,9 @@ candidates of a user at position ``t``, consulting only history before
 batched — :meth:`Recommender.score_batch` and
 :meth:`Recommender.recommend_batch` take a whole list of
 :class:`~repro.engine.query.Query` objects for one user, letting models
-amortize window and feature state across positions through a
-:class:`~repro.engine.session.ScoringSession`. :meth:`score_batch` is
+amortize window and feature state across positions (a
+:class:`~repro.engine.session.ScoringSession` walk, or TS-PPR's
+occurrence-index feature fill). :meth:`score_batch` is
 the one scoring method a model implements; the single-query
 :meth:`score` / :meth:`recommend` are one-query wrappers over it, and
 no bundled model overrides them. The seed's per-query kernels live on
@@ -196,15 +197,19 @@ class Recommender(ABC):
     ) -> List[np.ndarray]:
         """Score many queries of one user; one score array per query.
 
-        This is the one scoring path: implementations walk the sequence
-        once (via a :class:`~repro.engine.session.ScoringSession`)
-        instead of rebuilding window state per query. Scores must not
-        depend on how queries are batched or ordered: a query scores
-        the same alone, in any batch and at any position in it (a
-        model that draws from an RNG while scoring, like Random, draws
-        the same stream either way). Queries may arrive in any ``t``
-        order (kernels visit them time-sorted and restore input order);
-        the evaluation protocol always sends them ascending.
+        This is the one scoring path: implementations build window or
+        feature state once per batch instead of once per query — a
+        :class:`~repro.engine.session.ScoringSession` walk (Recency,
+        DYRC, FPMC) or one occurrence-index column pass over every
+        query's candidates (TS-PPR, via
+        :class:`~repro.engine.features.SessionFeatureMatrix`). Scores
+        must not depend on how queries are batched or ordered: a query
+        scores the same alone, in any batch and at any position in it
+        (a model that draws from an RNG while scoring, like Random,
+        draws the same stream either way). Queries may arrive in any
+        ``t`` order (walking kernels visit them time-sorted and restore
+        input order); the evaluation protocol always sends them
+        ascending.
         """
 
     # ------------------------------------------------------------------

@@ -32,8 +32,7 @@ from repro.config import TSPPRConfig, WindowConfig
 from repro.data.sequence import ConsumptionSequence
 from repro.data.split import SplitDataset
 from repro.engine.features import SessionFeatureMatrix
-from repro.engine.query import Query, iter_queries_in_order
-from repro.engine.session import ScoringSession
+from repro.engine.query import Query
 from repro.exceptions import ModelError, NotFittedError
 from repro.features.cache import QuadrupleFeatureCache
 from repro.features.vectorizer import BehavioralFeatureModel
@@ -290,13 +289,14 @@ class TSPPRRecommender(Recommender):
         sequence: ConsumptionSequence,
         queries: Sequence[Query],
     ) -> List[np.ndarray]:
-        """Engine kernel: one session walk, vectorized feature columns.
+        """Engine kernel: one feature fill for the batch, products per query.
 
-        Each query keeps its own ``(n, F) @ (F, K) @ (K,)`` products:
-        concatenating queries into one GEMM changes BLAS blocking, so a
-        query's scores would depend on the batch it arrived in. The win
-        is the O(1) incremental window state and the per-column feature
-        fills.
+        Every query's candidate rows are filled in one occurrence-index
+        column pass (:class:`~repro.engine.features.SessionFeatureMatrix`).
+        Each query then keeps its own ``(n, F) @ (F, K) @ (K,)`` products
+        on its contiguous slice of the rows: concatenating queries into
+        one GEMM changes BLAS blocking, so a query's scores would depend
+        on the batch it arrived in.
         """
         self._check_fitted()
         assert self.user_factors_ is not None
@@ -305,26 +305,20 @@ class TSPPRRecommender(Recommender):
             return []
         user = sequence.user
         u_vec = self.user_factors_[user]
-        A_u = self._mapping_of(user)
-        A_uT = A_u.T
+        A_uT = self._mapping_of(user).T
         item_factors = self.item_factors_
         use_static = self.config.use_static_term
 
-        ordered = list(iter_queries_in_order(queries))
-        session = ScoringSession(
-            sequence,
-            self.window_config.window_size,
-            start=ordered[0][1].t,
-        )
-        feature_matrix = SessionFeatureMatrix(self.feature_model, session)
-
-        results: List[Optional[np.ndarray]] = [None] * len(queries)
-        for index, query in ordered:
-            session.advance_to(query.t)
-            items = np.asarray(query.candidates, dtype=np.int64)
-            features = feature_matrix.matrix(items)
-            scores = (features @ A_uT) @ u_vec
+        rows = SessionFeatureMatrix(
+            self.feature_model, sequence, self.window_config.window_size
+        ).matrix(queries)
+        results: List[np.ndarray] = []
+        stop = 0
+        for query in queries:
+            start, stop = stop, stop + len(query.candidates)
+            scores = (rows[start:stop] @ A_uT) @ u_vec
             if use_static:
+                items = np.asarray(query.candidates, dtype=np.int64)
                 scores = scores + item_factors[items] @ u_vec
-            results[index] = scores
-        return results  # type: ignore[return-value]
+            results.append(scores)
+        return results

@@ -1,24 +1,19 @@
-"""Conflict-free run partitioning for block SGD kernels.
+"""Conflict-free update batches for block SGD kernels.
 
-:func:`repro.optim.sgd.run_sgd` hands model kernels a block of pre-drawn update indices. Consecutive updates whose
-parameter rows are pairwise disjoint — no shared user row and no shared
-item row — cannot observe each other's writes, so a kernel may apply
-them as one batched *run* and stay bit-identical to the scalar
-one-update-at-a-time path. This module computes those runs.
-
-The greedy partition ("extend the run until the next update touches an
-already-touched row") needs, for each update, only the index of the most
-recent *earlier* update that shares a row with it: update ``i`` conflicts
-with the open run ``[start, i)`` exactly when that index is ``>= start``.
-Those "conflict bounds" are computed for a whole block at once with two
-stable argsorts (one over users, one over the interleaved positive /
-negative item ids), which replaces per-update Python set bookkeeping
-with a single integer comparison per update in the partition loop.
+:func:`repro.optim.sgd.run_sgd` hands model kernels a block of pre-drawn
+update indices. Updates whose parameter rows are pairwise disjoint — no
+shared user row and no shared item row — cannot observe each other's
+writes, so a kernel may apply them as one batch and stay bit-identical
+to the scalar one-update-at-a-time path. :func:`dependency_batches`
+groups a block that way. It needs, for each update, the most recent
+*earlier* update touching each of its rows, found for the whole block
+with two stable argsorts (one over users, one over the interleaved
+positive / negative item ids).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -55,57 +50,6 @@ def _previous_item_updates(
     return prev_update[0::2], prev_update[1::2]
 
 
-def conflict_bounds(
-    users: np.ndarray,
-    positives: np.ndarray,
-    negatives: np.ndarray,
-) -> np.ndarray:
-    """Most recent earlier update sharing a row, per update (-1 if none).
-
-    ``bounds[i]`` is the largest ``j < i`` such that update ``j`` touches
-    the same user row as update ``i`` or a common item row (positive or
-    negative, in either role), or ``-1`` when no earlier update in the
-    block conflicts. Users and items live in different parameter
-    matrices, so a user id never conflicts with an item id.
-    """
-    n = int(users.size)
-    if positives.size != n or negatives.size != n:
-        raise ValueError(
-            f"users/positives/negatives must align, got sizes "
-            f"{users.size}/{positives.size}/{negatives.size}"
-        )
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-
-    bounds = _previous_occurrence(users)
-    prev_pos, prev_neg = _previous_item_updates(positives, negatives)
-    np.maximum(bounds, prev_pos, out=bounds)
-    np.maximum(bounds, prev_neg, out=bounds)
-    return bounds
-
-
-def iter_runs(
-    users: np.ndarray,
-    positives: np.ndarray,
-    negatives: np.ndarray,
-) -> Iterator[Tuple[int, int]]:
-    """Greedy maximal conflict-free runs as ``(start, end)`` slices.
-
-    Identical to extending a run while tracking touched user/item sets
-    and breaking at the first collision: update ``end`` conflicts with
-    the open run ``[start, end)`` iff its conflict bound is ``>= start``.
-    """
-    bounds = conflict_bounds(users, positives, negatives).tolist()
-    n = len(bounds)
-    start = 0
-    while start < n:
-        end = start + 1
-        while end < n and bounds[end] < start:
-            end += 1
-        yield start, end
-        start = end
-
-
 def dependency_batches(
     users: np.ndarray,
     positives: np.ndarray,
@@ -126,10 +70,6 @@ def dependency_batches(
     each as one batched kernel invocation, replays the scalar schedule
     exactly; stable sorting keeps a level's updates in original draw
     order so the grouping is deterministic.
-
-    Batches returned here are typically several times larger than the
-    contiguous runs of :func:`iter_runs`, amortizing per-batch kernel
-    overhead further.
     """
     n = int(users.size)
     if positives.size != n or negatives.size != n:

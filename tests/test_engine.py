@@ -1,9 +1,10 @@
-"""The incremental scoring engine against the reference window helpers.
+"""The scoring engine against the reference window helpers.
 
 Every accessor of :class:`ScoringSession` is asserted equal, position by
 position, to the from-scratch computations in :mod:`repro.windows`, and
-:class:`SessionFeatureMatrix` must reproduce
-:meth:`BehavioralFeatureModel.matrix` bit-for-bit.
+:class:`SessionFeatureMatrix` (the shared occurrence-index filler) must
+reproduce :meth:`BehavioralFeatureModel.matrix` bit-for-bit, feature by
+feature.
 """
 
 from __future__ import annotations
@@ -77,9 +78,6 @@ class TestScoringSession:
                 )
                 assert set(session.distinct_window_items()) == reference["items"]
                 assert session.candidates() == reference["candidates"]
-                window = window_before(sequence, t, window_size)
-                for item in reference["items"]:
-                    assert session.window_count(item) == window.count(item)
                 assert session.is_target() == is_valid_target(
                     sequence, t, window_size, min_gap
                 )
@@ -145,16 +143,6 @@ class TestScoringSession:
         with pytest.raises(DataError, match="outside"):
             ScoringSession(sequence, 10, start=len(sequence) + 1)
 
-    def test_window_view_matches_window_before(self, gowalla_split: SplitDataset):
-        sequence = gowalla_split.full_sequence(2)
-        session = ScoringSession(sequence, SMALL_WINDOW.window_size)
-        for t in (0, 3, 11, len(sequence) - 1):
-            session.advance_to(t)
-            view = session.window_view()
-            reference = window_before(sequence, t, SMALL_WINDOW.window_size)
-            assert view.item_set == reference.item_set
-            np.testing.assert_array_equal(view.items, reference.items)
-
 
 class TestCollectQueries:
     def test_matches_iter_evaluation_positions(self, gowalla_split: SplitDataset):
@@ -199,16 +187,29 @@ class TestSessionFeatureMatrix:
     def test_bit_identical_to_reference_matrix(
         self, feature_model: BehavioralFeatureModel, gowalla_split: SplitDataset
     ):
+        """Every query's rows, column by column, one fill per user."""
         for user in range(min(3, gowalla_split.n_users)):
             sequence = gowalla_split.full_sequence(user)
-            session = ScoringSession(sequence, SMALL_WINDOW.window_size)
-            fast = SessionFeatureMatrix(feature_model, session)
-            for t in range(0, len(sequence), 2):
-                session.advance_to(t)
-                candidates = sorted(set(sequence.items[:t].tolist()))
-                if not candidates:
-                    continue
-                items = np.asarray(candidates, dtype=np.int64)
-                window = window_before(sequence, t, SMALL_WINDOW.window_size)
-                reference = feature_model.matrix(sequence, candidates, t, window)
-                np.testing.assert_array_equal(fast.matrix(items), reference)
+            # Every position's seen items, then item 0: not consumed
+            # before t, or a duplicate candidate.
+            queries = [
+                Query(t=t, candidates=sorted(set(sequence.items[:t].tolist())) + [0])
+                for t in range(0, len(sequence) + 1, 2)
+            ]
+            rows = SessionFeatureMatrix(
+                feature_model, sequence, SMALL_WINDOW.window_size
+            ).matrix(queries)
+            assert rows.shape == (
+                sum(len(query) for query in queries), feature_model.n_features
+            )
+            stop = 0
+            for query in queries:
+                start, stop = stop, stop + len(query)
+                reference = feature_model.matrix(
+                    sequence, list(query.candidates), query.t
+                )
+                for column, name in enumerate(feature_model.feature_names):
+                    np.testing.assert_array_equal(
+                        rows[start:stop, column], reference[:, column],
+                        err_msg=f"{name} at t={query.t}",
+                    )

@@ -1,13 +1,9 @@
-"""Tests for conflict-free run partitioning (repro.optim.blocks)."""
+"""Tests for conflict-free update batching (repro.optim.blocks)."""
 
 import numpy as np
 import pytest
 
-from repro.optim.blocks import (
-    conflict_bounds,
-    dependency_batches,
-    iter_runs,
-)
+from repro.optim.blocks import dependency_batches
 
 
 def _random_updates(rng, n, n_users=7, n_items=12):
@@ -27,77 +23,6 @@ def _conflicts(users, positives, negatives, i, j):
     items_i = {positives[i], negatives[i]}
     items_j = {positives[j], negatives[j]}
     return bool(items_i & items_j)
-
-
-def _bounds_reference(users, positives, negatives):
-    n = len(users)
-    bounds = np.full(n, -1, dtype=np.int64)
-    for i in range(n):
-        for j in range(i - 1, -1, -1):
-            if _conflicts(users, positives, negatives, i, j):
-                bounds[i] = j
-                break
-    return bounds
-
-
-class TestConflictBounds:
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(11)
-        for n in (1, 2, 5, 30, 200):
-            users, positives, negatives = _random_updates(rng, n)
-            expected = _bounds_reference(users, positives, negatives)
-            actual = conflict_bounds(users, positives, negatives)
-            assert np.array_equal(actual, expected)
-
-    def test_cross_role_item_conflict(self):
-        # Update 1's positive is update 0's negative: must conflict even
-        # though users differ and same-role ids are all distinct.
-        users = np.array([0, 1])
-        positives = np.array([3, 4])
-        negatives = np.array([4, 5])
-        assert conflict_bounds(users, positives, negatives).tolist() == [-1, 0]
-
-    def test_empty(self):
-        empty = np.empty(0, dtype=np.int64)
-        bounds = conflict_bounds(empty, empty, empty)
-        assert bounds.size == 0
-
-    def test_mismatched_sizes_raise(self):
-        a = np.arange(3)
-        with pytest.raises(ValueError, match="must align"):
-            conflict_bounds(a, a, np.arange(4))
-
-
-class TestIterRuns:
-    def _runs_reference(self, users, positives, negatives):
-        """Greedy set-tracking partition, the definition of a run."""
-        n = len(users)
-        runs, start = [], 0
-        touched = set()
-        for i in range(n):
-            rows = {("u", users[i]), ("v", positives[i]), ("v", negatives[i])}
-            if rows & touched:
-                runs.append((start, i))
-                start, touched = i, set()
-            touched |= rows
-        if n:
-            runs.append((start, n))
-        return runs
-
-    def test_matches_set_based_reference(self):
-        rng = np.random.default_rng(23)
-        for n in (1, 2, 17, 120):
-            users, positives, negatives = _random_updates(rng, n)
-            expected = self._runs_reference(users, positives, negatives)
-            assert list(iter_runs(users, positives, negatives)) == expected
-
-    def test_runs_tile_the_block(self):
-        rng = np.random.default_rng(5)
-        users, positives, negatives = _random_updates(rng, 64)
-        runs = list(iter_runs(users, positives, negatives))
-        assert runs[0][0] == 0 and runs[-1][1] == 64
-        for (_, end), (start, _) in zip(runs, runs[1:]):
-            assert end == start
 
 
 class TestDependencyBatches:
@@ -135,6 +60,15 @@ class TestDependencyBatches:
         users, positives, negatives = _random_updates(rng, 80)
         for batch in dependency_batches(users, positives, negatives):
             assert np.array_equal(batch, np.sort(batch))
+
+    def test_cross_role_item_conflict(self):
+        # Update 1's positive is update 0's negative: they conflict even
+        # though users differ and same-role ids are all distinct.
+        users = np.array([0, 1])
+        positives = np.array([3, 4])
+        negatives = np.array([4, 5])
+        batches = dependency_batches(users, positives, negatives)
+        assert [batch.tolist() for batch in batches] == [[0], [1]]
 
     def test_no_conflicts_is_one_batch(self):
         users = np.arange(6)

@@ -12,6 +12,8 @@ eviction→rehydration round-trips through :class:`SessionStore`.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.exceptions import DataError, ServingError
 from repro.serving.events import EventLog
 from repro.serving.state import LiveSession, SessionStore
 from repro.store import StoreSession
+from repro.windows.window import window_before
 
 
 def offline_session(items, window_size, min_gap, user=0):
@@ -37,12 +40,13 @@ def offline_session(items, window_size, min_gap, user=0):
 def assert_state_equal(live: LiveSession, offline: ScoringSession) -> None:
     """Every observable state contract, plus the canonical digest."""
     assert live.t == offline.t
-    assert live.window_length() == offline.window_length()
-    assert live.window_counts_map() == offline.window_counts_map()
+    window = window_before(offline.sequence, offline.t, offline.window_size)
+    assert live.window_length() == len(window)
+    assert live.window_counts_map() == dict(Counter(window.items.tolist()))
     assert live.candidates() == offline.candidates()
     probe = sorted(set(live.window_counts_map()) | {0, 1, 10_000})
     for item in probe:
-        assert live.window_count(item) == offline.window_count(item)
+        assert live.window_count(item) == window.count(item)
         assert live.last_position(item) == offline.last_position(item)
     np.testing.assert_array_equal(
         live.last_positions(np.array(probe, dtype=np.int64)),
