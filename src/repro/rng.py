@@ -83,6 +83,29 @@ def derive_seed(base: Optional[int], *salts: int) -> int:
     return int(mixed.generate_state(1, dtype=np.uint32)[0])
 
 
+def choice_cdf(weights: np.ndarray, total: Optional[float] = None) -> np.ndarray:
+    """The CDF ``Generator.choice(len(weights), p=weights / total)`` searches.
+
+    ``total`` defaults to ``weights.sum()``. numpy's scalar ``choice``
+    with ``p`` takes ``cdf = p.cumsum()``, ``cdf /= cdf[-1]``, draws one
+    ``random()`` and returns ``cdf.searchsorted(u, side="right")``; this
+    builds that ``cdf`` from the same float operations, so
+    :func:`draw_index` over it returns the same index and leaves the
+    generator in the same state. ``choice`` also checks that ``p`` is
+    finite, non-negative and sums to one; the caller owns those checks.
+    """
+    if total is None:
+        total = weights.sum()
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def draw_index(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """One weighted draw over ``cdf`` (from :func:`choice_cdf`)."""
+    return int(cdf.searchsorted(rng.random(), "right"))
+
+
 class Uint32Stream:
     """Bit-exact block view of a PCG64 generator's 32-bit stream.
 

@@ -15,73 +15,53 @@ the choice (Lastfm-like).
 Additionally, per-user *item affinities* multiply both explore and
 repeat weights, giving every user stable favourites — the personalized
 signal TS-PPR's latent term and DYRC's weights can pick up.
+
+The window is kept incrementally: each catalog item's window count and
+last-seen step change by one entry per step (+1 on append, −1 when an
+entry leaves the span), and both factors of ``w(v)`` are looked up in
+per-user tables of Python ``**`` over ``[1, memory_span]``. A repeat
+step then costs a few array operations over the window's distinct
+items. Draws are stream-exact: :func:`repro.rng.choice_cdf` and
+:func:`repro.rng.draw_index` make the same float operations and the
+same scalar ``random()`` call as the seed's ``Generator.choice(p=...)``,
+and the explore CDF is rebuilt only after a drift event, so a sequence
+and the generator state it leaves behind are bit-identical to the
+seed's loop (``tests/synth_oracles.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import math
 
 import numpy as np
 
 from repro.exceptions import DataError
-from repro.rng import RandomState, ensure_rng
+from repro.rng import RandomState, choice_cdf, draw_index, ensure_rng
 
 
-def repeat_weights(
-    history: List[int],
-    memory_span: int,
-    frequency_exponent: float,
-    recency_exponent: float,
-    affinities: Optional[Dict[int, float]] = None,
-) -> "tuple[list[int], np.ndarray]":
-    """Candidate items and unnormalized repeat weights at the next step.
+def _power_table(size: int, exponent: float) -> np.ndarray:
+    """``v ** exponent`` at index ``v`` for ``v`` in ``[1, size]``.
 
-    Returns the distinct items of the last ``memory_span`` history
-    entries and their weights. Empty history yields empty outputs.
+    Python's ``**``, as the per-item weight always took it; an overflow
+    reads ``inf``, which the repeat step rejects if it ever uses it.
     """
-    if memory_span <= 0:
-        raise DataError(f"memory_span must be positive, got {memory_span}")
-    window = history[-memory_span:]
-    t_next = len(history)
-    counts: Dict[int, int] = {}
-    last_seen: Dict[int, int] = {}
-    base = len(history) - len(window)
-    for offset, item in enumerate(window):
-        counts[item] = counts.get(item, 0) + 1
-        last_seen[item] = base + offset
-    items = sorted(counts)
-    if not items:
-        return [], np.empty(0)
-    weights = np.empty(len(items), dtype=np.float64)
-    for index, item in enumerate(items):
-        gap = t_next - last_seen[item]
-        weight = (counts[item] ** frequency_exponent) * (gap ** (-recency_exponent))
-        if affinities is not None:
-            weight *= affinities.get(item, 1.0)
-        weights[index] = weight
-    return items, weights
+    table = np.ones(size + 1)
+    for value in range(1, size + 1):
+        try:
+            table[value] = value ** exponent
+        except OverflowError:
+            table[value] = math.inf
+    return table
 
 
-def most_recent_beyond_gap(
-    history: List[int],
-    memory_span: int,
-    min_gap: int,
-) -> Optional[int]:
-    """The most recently consumed item whose gap exceeds ``min_gap``.
-
-    Models "resume" behaviour — returning to the album/venue one left a
-    little while ago — and returns ``None`` when no in-memory item lies
-    beyond the gap.
-    """
-    t_next = len(history)
-    window = history[-memory_span:]
-    base = len(history) - len(window)
-    recent = set(history[max(0, t_next - min_gap):])
-    for offset in range(len(window) - 1, -1, -1):
-        item = window[offset]
-        if item not in recent:
-            return item
-    return None
+def _weights_cdf(weights: np.ndarray, what: str):
+    """``choice_cdf`` of ``weights``, or ``None`` when they sum to zero."""
+    total = weights.sum()
+    if not math.isfinite(total):
+        raise DataError(f"{what} weights have a non-finite sum ({total})")
+    if total <= 0:
+        return None
+    return choice_cdf(weights, total)
 
 
 def simulate_user_sequence(
@@ -108,14 +88,16 @@ def simulate_user_sequence(
     catalog:
         The user's personal item universe (distinct item indices).
     catalog_weights:
-        Unnormalized explore weights over ``catalog`` (e.g. global Zipf
-        probabilities restricted to the catalog).
+        Unnormalized, finite, non-negative explore weights over
+        ``catalog`` (e.g. global Zipf probabilities restricted to the
+        catalog).
     p_explore:
         Probability of an explore step (the first step always explores).
     memory_span:
-        How far back the repeat process can copy from.
+        How far back the repeat process can copy from (positive).
     frequency_exponent, recency_exponent:
-        Steepness of the repeat choice (see module docstring).
+        Steepness of the repeat choice (see module docstring). Weights
+        whose sum is not finite raise :class:`DataError`.
     affinity_strength:
         ``> 0`` draws per-item log-normal affinities with this sigma,
         multiplying both explore and repeat weights.
@@ -140,86 +122,92 @@ def simulate_user_sequence(
     if length <= 0:
         raise DataError(f"length must be positive, got {length}")
     catalog = np.asarray(catalog, dtype=np.int64)
-    if catalog.size == 0:
-        raise DataError("catalog must not be empty")
+    if catalog.ndim != 1 or catalog.size == 0:
+        raise DataError("catalog must be a non-empty 1-D array")
+    # Window state is indexed by rank in the sorted catalog, so the
+    # distinct window items come out in item order, as the weights'
+    # summation order requires.
+    by_rank = np.argsort(catalog, kind="stable")
+    ordered = catalog[by_rank]
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise DataError("catalog items must be distinct")
     catalog_weights = np.asarray(catalog_weights, dtype=np.float64)
     if catalog_weights.shape != catalog.shape:
         raise DataError(
             f"catalog_weights shape {catalog_weights.shape} does not match "
             f"catalog shape {catalog.shape}"
         )
+    if not np.all(np.isfinite(catalog_weights) & (catalog_weights >= 0)):
+        raise DataError("catalog_weights must be finite and non-negative")
     if not 0 <= p_explore <= 1:
         raise DataError(f"p_explore must lie in [0, 1], got {p_explore}")
-    rng = ensure_rng(random_state)
-
+    if memory_span <= 0:
+        raise DataError(f"memory_span must be positive, got {memory_span}")
     if drift_interval < 0:
         raise DataError(f"drift_interval must be >= 0, got {drift_interval}")
     if not 0 < drift_fraction <= 1:
         raise DataError(f"drift_fraction must lie in (0, 1], got {drift_fraction}")
-
-    affinities: Optional[Dict[int, float]] = None
-    affinity_draws = np.ones(catalog.size)
-    if affinity_strength > 0:
-        affinity_draws = rng.lognormal(0.0, affinity_strength, catalog.size)
-        affinities = {
-            int(item): float(a) for item, a in zip(catalog.tolist(), affinity_draws)
-        }
-
-    def normalized_explore() -> np.ndarray:
-        weights = catalog_weights * affinity_draws
-        total = weights.sum()
-        if total <= 0:
-            raise DataError("catalog weights must contain a positive entry")
-        return weights / total
-
-    explore_probabilities = normalized_explore()
-
     if not 0 <= resume_probability <= 1:
         raise DataError(
             f"resume_probability must lie in [0, 1], got {resume_probability}"
         )
+    rng = ensure_rng(random_state)
 
-    history: List[int] = []
+    n_items = catalog.size
+    affinity_draws = np.ones(n_items)
+    rank_affinity = None
+    if affinity_strength > 0:
+        affinity_draws = rng.lognormal(0.0, affinity_strength, n_items)
+        rank_affinity = affinity_draws[by_rank]
+
+    def explore_cdf() -> np.ndarray:
+        cdf = _weights_cdf(catalog_weights * affinity_draws, "explore")
+        if cdf is None:
+            raise DataError("catalog weights must contain a positive entry")
+        return cdf
+
+    explore = explore_cdf()
+    horizon = min(memory_span, length)
+    frequency = _power_table(horizon, frequency_exponent)
+    recency = _power_table(horizon, -recency_exponent)
+    drifting = bool(drift_interval) and affinity_strength > 0
+
+    ranks = []
+    counts = np.zeros(n_items, dtype=np.int64)
+    last_seen = np.zeros(n_items, dtype=np.int64)
+    explore_rank = np.argsort(by_rank).tolist()  # catalog position -> rank
     for step in range(length):
-        if (
-            drift_interval
-            and affinity_strength > 0
-            and step > 0
-            and rng.random() < 1.0 / drift_interval
-        ):
-            n_drift = max(1, int(catalog.size * drift_fraction))
-            drifted = rng.choice(catalog.size, size=n_drift, replace=False)
+        if drifting and step > 0 and rng.random() < 1.0 / drift_interval:
+            n_drift = max(1, int(n_items * drift_fraction))
+            drifted = rng.choice(n_items, size=n_drift, replace=False)
             affinity_draws[drifted] = rng.lognormal(
                 0.0, affinity_strength, n_drift
             )
-            assert affinities is not None
-            for position in drifted:
-                affinities[int(catalog[int(position)])] = float(
-                    affinity_draws[int(position)]
-                )
-            explore_probabilities = normalized_explore()
-        explore = step == 0 or rng.random() < p_explore
-        if not explore:
+            rank_affinity = affinity_draws[by_rank]
+            explore = explore_cdf()
+        rank = -1
+        if step > 0 and rng.random() >= p_explore:
+            window = counts.nonzero()[0]
+            seen = last_seen[window]
             if resume_probability and rng.random() < resume_probability:
-                resumed = most_recent_beyond_gap(
-                    history, memory_span, resume_min_gap
-                )
-                if resumed is not None:
-                    history.append(resumed)
-                    continue
-            items, weights = repeat_weights(
-                history,
-                memory_span,
-                frequency_exponent,
-                recency_exponent,
-                affinities,
-            )
-            weight_sum = weights.sum() if weights.size else 0.0
-            if weight_sum > 0:
-                choice = rng.choice(len(items), p=weights / weight_sum)
-                history.append(int(items[int(choice)]))
-                continue
-            # Degenerate window: fall through to an explore step.
-        choice = rng.choice(catalog.size, p=explore_probabilities)
-        history.append(int(catalog[int(choice)]))
-    return np.asarray(history, dtype=np.int64)
+                # The newest window item not consumed in the last
+                # resume_min_gap steps.
+                older = seen < step - resume_min_gap
+                if older.any():
+                    rank = int(window[older][seen[older].argmax()])
+            if rank < 0:
+                weights = frequency[counts[window]] * recency[step - seen]
+                if rank_affinity is not None:
+                    weights *= rank_affinity[window]
+                cdf = _weights_cdf(weights, "repeat")
+                if cdf is not None:
+                    rank = int(window[draw_index(rng, cdf)])
+                # Otherwise a degenerate window: explore instead.
+        if rank < 0:
+            rank = explore_rank[draw_index(rng, explore)]
+        ranks.append(rank)
+        counts[rank] += 1
+        last_seen[rank] = step
+        if step >= memory_span:
+            counts[ranks[step - memory_span]] -= 1
+    return ordered[ranks]

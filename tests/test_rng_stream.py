@@ -1,8 +1,13 @@
-"""Tests for repro.rng.Uint32Stream: numpy's scalar draws, computed in blocks.
+"""Tests for repro.rng's stream-exact helpers.
 
-The oracle throughout is numpy itself: scalar ``Generator.integers(b)``
-calls on a twin generator. Values *and* the full ``bit_generator.state``
-(including PCG64's buffered 32-bit half) must match exactly.
+``Uint32Stream`` computes numpy's scalar ``integers(b)`` draws in
+blocks; ``choice_cdf`` / ``draw_index`` split a weighted scalar
+``choice`` into its CDF and its one draw. The oracle throughout is
+numpy itself, called on a twin generator: scalar
+``Generator.integers(b)`` and ``Generator.choice(k, p=w / w.sum())``.
+Values *and* the full ``bit_generator.state`` (including PCG64's
+buffered 32-bit half) must match exactly, which pins the helpers to
+whatever numpy the suite runs on.
 """
 
 import numpy as np
@@ -10,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rng import Uint32Stream
+from repro.rng import Uint32Stream, choice_cdf, draw_index
 
 #: Bounds spanning the Lemire map's domain, ends included.
 BOUNDS = st.sampled_from([2, 3, 7, 1000, 1724, 123_456_789, 2**31 + 1, 2**32 - 1])
@@ -97,3 +102,51 @@ class TestPeekAndCommit:
     def test_bounds_outside_the_lemire_domain_raise(self, bound):
         with pytest.raises(ValueError, match="bounds"):
             Uint32Stream.bounded(np.zeros(2, dtype=np.uint64), bound)
+
+
+@st.composite
+def choice_weights(draw):
+    """Weight vectors ``choice`` accepts: zeros inside, ties, extreme scales."""
+    values = draw(
+        st.lists(
+            st.sampled_from([0.0, 1.0, 2.0, 0.5])
+            | st.floats(1e-6, 1e3, allow_nan=False),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    if not any(values):
+        values[draw(st.integers(0, len(values) - 1))] = 1.0
+    return np.array(values) * draw(st.sampled_from([1e-300, 1e-5, 1.0, 1e300]))
+
+
+class TestChoiceCdf:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), prior=st.integers(0, 3), weights=choice_weights())
+    def test_draw_equals_choice(self, seed, prior, weights):
+        reference, ours = _twins(seed, prior)
+        expected = int(reference.choice(len(weights), p=weights / weights.sum()))
+        assert draw_index(ours, choice_cdf(weights)) == expected
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), weights=choice_weights(), n=st.integers(1, 40))
+    def test_cached_cdf_serves_many_draws(self, seed, weights, n):
+        reference, ours = _twins(seed, 0)
+        cdf = choice_cdf(weights, weights.sum())
+        for _ in range(n):
+            expected = int(reference.choice(len(weights), p=weights / weights.sum()))
+            assert draw_index(ours, cdf) == expected
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+    def test_zero_weights_are_never_drawn(self):
+        rng = np.random.default_rng(3)
+        cdf = choice_cdf(np.array([0.0, 1.0, 0.0, 0.0, 2.0, 0.0]))
+        draws = {draw_index(rng, cdf) for _ in range(500)}
+        assert draws == {1, 4}
+
+    def test_single_weight_still_draws(self):
+        reference, ours = _twins(11, 0)
+        reference.choice(1, p=np.array([1.0]))
+        assert draw_index(ours, choice_cdf(np.array([5e-300]))) == 0
+        assert ours.bit_generator.state == reference.bit_generator.state

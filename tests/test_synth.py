@@ -6,14 +6,12 @@ import pytest
 from repro.data.loaders import load_event_log
 from repro.exceptions import DataError
 from repro.synth.base import SyntheticConfig, generate_dataset
-from repro.synth.copying import (
-    most_recent_beyond_gap,
-    repeat_weights,
-    simulate_user_sequence,
-)
+from repro.synth.copying import simulate_user_sequence
 from repro.synth.gowalla import GOWALLA_PRESET, generate_gowalla
 from repro.synth.lastfm import LASTFM_PRESET, generate_lastfm, write_lastfm_event_log
 from repro.synth.popularity import ZipfPopularity
+
+from synth_oracles import most_recent_beyond_gap, repeat_weights
 
 
 def per_user_repeat_ratio(dataset, window_size: int = 100) -> np.ndarray:
@@ -75,6 +73,8 @@ class TestZipfPopularity:
 
 
 class TestRepeatWeights:
+    """The seed's window weights, kept in ``tests/synth_oracles.py``."""
+
     def test_empty_history(self):
         items, weights = repeat_weights([], 10, 1.0, 1.0)
         assert items == [] and weights.size == 0
@@ -104,6 +104,8 @@ class TestRepeatWeights:
 
 
 class TestMostRecentBeyondGap:
+    """The seed's resume target, kept in ``tests/synth_oracles.py``."""
+
     def test_finds_resumable_item(self):
         #          t: 0  1  2  3
         history = [7, 8, 9, 8]
@@ -171,6 +173,53 @@ class TestSimulateUserSequence:
                 length=5, catalog=np.arange(3), catalog_weights=np.ones(3),
                 p_explore=1.5, memory_span=5,
                 frequency_exponent=1.0, recency_exponent=1.0,
+            )
+
+    @pytest.mark.parametrize("memory_span", [0, -3])
+    def test_memory_span_checked_before_any_draw(self, memory_span):
+        rng = np.random.default_rng(6)
+        state = rng.bit_generator.state
+        with pytest.raises(DataError, match="memory_span"):
+            simulate_user_sequence(
+                length=20, catalog=np.arange(4), catalog_weights=np.ones(4),
+                p_explore=1.0, memory_span=memory_span,
+                frequency_exponent=1.0, recency_exponent=1.0,
+                affinity_strength=0.5, random_state=rng,
+            )
+        assert rng.bit_generator.state == state
+
+    def test_repeated_catalog_items_rejected(self):
+        rng = np.random.default_rng(6)
+        state = rng.bit_generator.state
+        with pytest.raises(DataError, match="distinct"):
+            simulate_user_sequence(
+                length=20, catalog=np.array([4, 4, 9]),
+                catalog_weights=np.ones(3), p_explore=0.5, memory_span=5,
+                frequency_exponent=1.0, recency_exponent=1.0,
+                affinity_strength=0.5, random_state=rng,
+            )
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("weights", [[1.0, -0.5, 1.0], [1.0, np.nan, 1.0],
+                                         [1.0, np.inf, 1.0]])
+    def test_bad_catalog_weights_rejected(self, weights):
+        with pytest.raises(DataError, match="catalog_weights"):
+            simulate_user_sequence(
+                length=5, catalog=np.arange(3), catalog_weights=weights,
+                p_explore=0.5, memory_span=5,
+                frequency_exponent=1.0, recency_exponent=1.0,
+            )
+
+    @pytest.mark.parametrize("exponents", [(float("nan"), 1.0), (1.0, -1000.0)])
+    def test_non_finite_repeat_weights_raise(self, exponents):
+        # NaN weights, or a gap weight past the float range (3 ** 1000).
+        frequency_exponent, recency_exponent = exponents
+        with pytest.raises(DataError, match="non-finite"):
+            simulate_user_sequence(
+                length=200, catalog=np.arange(3), catalog_weights=np.ones(3),
+                p_explore=0.3, memory_span=50,
+                frequency_exponent=frequency_exponent,
+                recency_exponent=recency_exponent, random_state=0,
             )
 
     def test_drift_changes_sequence(self):
